@@ -187,7 +187,7 @@ func BenchmarkMLFQPool(b *testing.B) {
 }
 
 func BenchmarkMultiplexerHitPath(b *testing.B) {
-	c := multiplex.New()
+	c := multiplex.New(multiplex.Config{})
 	key := multiplex.NewKey("boto3.client", "s3:KEY")
 	c.Begin(key)
 	c.Complete(key, "client", 15<<20)

@@ -351,8 +351,9 @@ func (c *fakeS3Client) put(key string) string {
 }
 
 // s3UploadHandler creates a client through the Resource Multiplexer
-// (Listing 1) and performs an upload.
-func s3UploadHandler(_ context.Context, inv *platform.Invocation) (any, error) {
+// (Listing 1) and performs an upload. A done ctx abandons a wait on
+// another invocation's client build.
+func s3UploadHandler(ctx context.Context, inv *platform.Invocation) (any, error) {
 	var req struct {
 		Bucket string `json:"bucket"`
 		Key    string `json:"key"`
@@ -368,7 +369,7 @@ func s3UploadHandler(_ context.Context, inv *platform.Invocation) (any, error) {
 	if req.Key == "" {
 		req.Key = "object"
 	}
-	client, cached, err := inv.Resources.Get("s3.client", req.Bucket, func() (any, int64, error) {
+	client, out, err := inv.Resources.GetContext(ctx, "s3.client", req.Bucket, func() (any, int64, error) {
 		// Construction cost, as in Fig. 4 (scaled down for the demo).
 		time.Sleep(66 * time.Millisecond)
 		return &fakeS3Client{bucket: req.Bucket}, 15 << 20, nil
@@ -380,5 +381,5 @@ func s3UploadHandler(_ context.Context, inv *platform.Invocation) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("unexpected client type %T", client)
 	}
-	return map[string]any{"url": s3.put(req.Key), "clientCached": cached}, nil
+	return map[string]any{"url": s3.put(req.Key), "clientCached": out.Cached()}, nil
 }

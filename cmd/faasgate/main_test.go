@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"strings"
@@ -124,6 +125,47 @@ func TestS3UploadHandlerUsesMultiplexer(t *testing.T) {
 	}
 	if _, err := p.Invoke(context.Background(), "s3upload", json.RawMessage(`{bad`)); err == nil {
 		t.Fatal("bad payload accepted")
+	}
+}
+
+// TestS3UploadHandlerHonoursContext: an invocation whose context ends
+// while it waits on another invocation's client build returns the
+// context's error instead of waiting the build out.
+func TestS3UploadHandlerHonoursContext(t *testing.T) {
+	p := newGatePlatform(t)
+	type result struct {
+		err     error
+		elapsed time.Duration
+	}
+	done := make(chan result, 1)
+	if err := p.Register("s3race", func(ctx context.Context, inv *platform.Invocation) (any, error) {
+		// The builder: the first s3upload in this container pays the
+		// client construction. It must finish before the handler returns,
+		// since the invocation's view is recycled after that.
+		built := make(chan error, 1)
+		go func() {
+			_, err := s3UploadHandler(ctx, inv)
+			built <- err
+		}()
+		time.Sleep(10 * time.Millisecond)
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		start := time.Now()
+		_, err := s3UploadHandler(cctx, inv)
+		done <- result{err, time.Since(start)}
+		return nil, <-built
+	}); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if _, err := p.Invoke(context.Background(), "s3race", json.RawMessage(`{"bucket":"race"}`)); err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled coalesced call: err = %v, want context.Canceled", r.err)
+	}
+	if r.elapsed > 30*time.Millisecond {
+		t.Fatalf("cancelled coalesced call took %v, want it to skip the ~66ms build", r.elapsed)
 	}
 }
 

@@ -120,12 +120,9 @@ func run(args []string) error {
 		Policy:         *policy,
 		Logger:         logger,
 	}
-	pullTuned := *pullQueueDepth != 0 || *pullBatch != 0 || *pullCapacity != 0 ||
-		*pullShards != 0 || *pullLeaseBudget != 0
-	if pullTuned && *policy != router.PolicyPull {
-		return fmt.Errorf("-pull-* flags require -policy=%s (got -policy=%s)", router.PolicyPull, *policy)
-	}
-	if *policy == router.PolicyPull {
+	// router.New rejects pull tuning under any policy but pull.
+	if *pullQueueDepth != 0 || *pullBatch != 0 || *pullCapacity != 0 ||
+		*pullShards != 0 || *pullLeaseBudget != 0 {
 		cfg.Pull = &pullsched.Config{
 			Shards:      *pullShards,
 			BatchSize:   *pullBatch,

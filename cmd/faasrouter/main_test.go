@@ -37,6 +37,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-workers", "w1=http://x", "-chaos-rate", "-0.1"},
 		{"-workers", "w1=http://x", "-log-level", "nope"},
 		{"-workers", "bad-spec"},
+		{"-workers", "w1=http://x", "-pull-batch", "4"}, // pull tuning needs -policy pull
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -1,6 +1,7 @@
 package multiplex
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -15,11 +16,7 @@ func benchmarkHitPath(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 
-	opts := []Option{WithMaxEntries(4096)}
-	if shards > 0 {
-		opts = append(opts, WithShards(shards))
-	}
-	c := New(opts...)
+	c := New(Config{MaxEntries: 4096, Shards: shards})
 	defer c.Close()
 
 	const nkeys = 256
@@ -55,25 +52,22 @@ func BenchmarkMultiplexGlobalHit1(b *testing.B)  { benchmarkHitPath(b, 1, 1) }
 func BenchmarkMultiplexGlobalHit4(b *testing.B)  { benchmarkHitPath(b, 1, 4) }
 func BenchmarkMultiplexGlobalHit16(b *testing.B) { benchmarkHitPath(b, 1, 16) }
 
-// benchmarkGetOrBuild exercises the blocking handler-facing face end to
+// benchmarkGetOrBuildContext exercises the blocking handler-facing face end to
 // end (outcome classification included) on a hot working set.
-func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
+func benchmarkGetOrBuildContext(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 
-	opts := []Option{WithMaxEntries(4096)}
-	if shards > 0 {
-		opts = append(opts, WithShards(shards))
-	}
-	c := New(opts...)
+	c := New(Config{MaxEntries: 4096, Shards: shards})
 	defer c.Close()
 
+	ctx := context.Background()
 	const nkeys = 256
 	keys := make([]Key, nkeys)
 	build := func() (any, int64, error) { return "inst", 64, nil }
 	for i := range keys {
 		keys[i] = NewKey("client", fmt.Sprintf("args-%d", i))
-		if _, _, err := c.GetOrBuild(keys[i], build); err != nil {
+		if _, _, err := c.GetOrBuildContext(ctx, keys[i], build); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,12 +80,12 @@ func benchmarkGetOrBuild(b *testing.B, shards, goroutines int) {
 		for pb.Next() {
 			k := keys[i%nkeys]
 			i++
-			if _, cached, err := c.GetOrBuild(k, build); err != nil || !cached {
-				b.Fatalf("cached=%v err=%v", cached, err)
+			if _, out, err := c.GetOrBuildContext(ctx, k, build); err != nil || !out.Cached() {
+				b.Fatalf("outcome=%v err=%v", out, err)
 			}
 		}
 	})
 }
 
-func BenchmarkMultiplexShardedGet16(b *testing.B) { benchmarkGetOrBuild(b, 0, 16) }
-func BenchmarkMultiplexGlobalGet16(b *testing.B)  { benchmarkGetOrBuild(b, 1, 16) }
+func BenchmarkMultiplexShardedGet16(b *testing.B) { benchmarkGetOrBuildContext(b, 0, 16) }
+func BenchmarkMultiplexGlobalGet16(b *testing.B)  { benchmarkGetOrBuildContext(b, 1, 16) }

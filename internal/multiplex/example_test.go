@@ -1,6 +1,7 @@
 package multiplex_test
 
 import (
+	"context"
 	"fmt"
 
 	"faasbatch/internal/multiplex"
@@ -8,8 +9,8 @@ import (
 
 // The blocking face: concurrent handlers share one expensive client per
 // container, exactly like the paper's Listing 1 clients.
-func ExampleCache_GetOrBuild() {
-	cache := multiplex.New()
+func ExampleCache_GetOrBuildContext() {
+	cache := multiplex.New(multiplex.Config{})
 	key := multiplex.NewKey("boto3.client", "s3:ACCESS_KEY")
 
 	build := func() (any, int64, error) {
@@ -17,27 +18,27 @@ func ExampleCache_GetOrBuild() {
 		return "S3_client", 15 << 20, nil
 	}
 	for i := 0; i < 3; i++ {
-		client, cached, err := cache.GetOrBuild(key, build)
+		client, out, err := cache.GetOrBuildContext(context.Background(), key, build)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Println(client, cached)
+		fmt.Println(client, out)
 	}
 	st := cache.Stats()
 	fmt.Printf("misses=%d hits=%d savedMB=%d\n", st.Misses, st.Hits, st.BytesSaved>>20)
 	// Output:
 	// building S3 client
-	// S3_client false
-	// S3_client true
-	// S3_client true
+	// S3_client miss
+	// S3_client hit
+	// S3_client hit
 	// misses=1 hits=2 savedMB=30
 }
 
 // The event-driven face used by the simulator: the first creator builds,
 // later requesters coalesce.
 func ExampleCache_Begin() {
-	cache := multiplex.New()
+	cache := multiplex.New(multiplex.Config{})
 	key := multiplex.NewKey("client", "args")
 
 	res, _ := cache.Begin(key)

@@ -25,8 +25,8 @@ type closeRecorder struct {
 func TestExpiredEntryWithRefreshInFlightIsNotDropped(t *testing.T) {
 	clock := newTestClock(0)
 	var evictedInsts []any
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond),
-		clock.opt(), WithOnEvict(func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) }))
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond,
+		Now: clock.now, OnEvict: func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) }})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "v1", 5)
@@ -61,10 +61,10 @@ func TestBlockingRefreshSurvivesHardExpiry(t *testing.T) {
 	clock := newTestClock(0)
 	inst1 := &closeRecorder{name: "one"}
 	inst2 := &closeRecorder{name: "two"}
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond),
-		clock.opt(), WithOnEvict(func(_ Key, inst any, _ int64) {
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond,
+		Now: clock.now, OnEvict: func(_ Key, inst any, _ int64) {
 			inst.(*closeRecorder).closed.Add(1)
-		}))
+		}})
 	key := NewKey("client", "args")
 	if _, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 		return inst1, 5, nil
@@ -120,8 +120,8 @@ func TestInvalidateDuringRefreshCondemns(t *testing.T) {
 	newCache := func() *Cache {
 		evictedInsts = nil
 		clock.set(0)
-		c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond),
-			clock.opt(), WithOnEvict(func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) }))
+		c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond,
+			Now: clock.now, OnEvict: func(_ Key, inst any, _ int64) { evictedInsts = append(evictedInsts, inst) }})
 		key := NewKey("client", "args")
 		c.Begin(key)
 		c.Complete(key, "v1", 5)
@@ -167,7 +167,7 @@ func TestInvalidateDuringRefreshCondemns(t *testing.T) {
 // stale instance keeps serving until hard expiry.
 func TestRefreshPanicIsRecoveredAndFailsEntry(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond), clock.opt())
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
 	if _, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
@@ -199,7 +199,7 @@ func TestRefreshPanicIsRecoveredAndFailsEntry(t *testing.T) {
 // the key is not poisoned — coalesced waiters wake and the next caller
 // rebuilds instead of blocking forever.
 func TestBuildPanicFailsPendingEntry(t *testing.T) {
-	c := New(WithShards(1))
+	c := New(Config{Shards: 1})
 	key := NewKey("client", "args")
 	func() {
 		defer func() {
@@ -229,11 +229,11 @@ func TestBuildPanicFailsPendingEntry(t *testing.T) {
 // must wait for the borrower's release.
 func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 	inst := &closeRecorder{name: "borrowed"}
-	c := New(WithShards(1), WithMaxEntries(1), WithOnEvict(func(_ Key, v any, _ int64) {
+	c := New(Config{Shards: 1, MaxEntries: 1, OnEvict: func(_ Key, v any, _ int64) {
 		if r, ok := v.(*closeRecorder); ok {
 			r.closed.Add(1)
 		}
-	}))
+	}})
 	keyA, keyB := NewKey("client", "a"), NewKey("client", "b")
 	v, out, release, err := c.Acquire(context.Background(), keyA, func() (any, int64, error) {
 		return inst, 4, nil
@@ -268,11 +268,11 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 // releases.
 func TestAcquireSharedBorrowLastReleaseCloses(t *testing.T) {
 	inst := &closeRecorder{name: "shared"}
-	c := New(WithShards(1), WithOnEvict(func(_ Key, v any, _ int64) {
+	c := New(Config{Shards: 1, OnEvict: func(_ Key, v any, _ int64) {
 		if r, ok := v.(*closeRecorder); ok {
 			r.closed.Add(1)
 		}
-	}))
+	}})
 	key := NewKey("client", "args")
 	build := func() (any, int64, error) { return inst, 4, nil }
 	_, _, rel1, err := c.Acquire(context.Background(), key, build)
@@ -301,7 +301,7 @@ func TestMaxEntriesSplitsExactly(t *testing.T) {
 		{4, 10}, {8, 100}, {2, 3}, {16, 17}, {1, 7},
 	}
 	for _, tc := range cases {
-		c := New(WithShards(tc.shards), WithMaxEntries(tc.max))
+		c := New(Config{Shards: tc.shards, MaxEntries: tc.max})
 		sum := 0
 		for _, sh := range c.shards {
 			sum += sh.cap
@@ -313,10 +313,10 @@ func TestMaxEntriesSplitsExactly(t *testing.T) {
 	// Auto-sized shard counts shrink when the capacity cannot feed every
 	// shard a few slots, instead of spreading 1-slot shards that thrash
 	// under skew.
-	if n := New(WithMaxEntries(8)).Stats().Shards; n != 2 {
+	if n := New(Config{MaxEntries: 8}).Stats().Shards; n != 2 {
 		t.Errorf("auto shards with MaxEntries 8 = %d, want 2", n)
 	}
-	if n := New(WithMaxEntries(100)).Stats().Shards; n > 16 {
+	if n := New(Config{MaxEntries: 100}).Stats().Shards; n > 16 {
 		t.Errorf("auto shards with MaxEntries 100 = %d, want <= 16", n)
 	}
 }
@@ -328,9 +328,9 @@ func TestMaxEntriesSplitsExactly(t *testing.T) {
 func TestPropertyInflightRefreshNeverEvicted(t *testing.T) {
 	clock := newTestClock(0)
 	released := map[any]int{}
-	c := New(WithShards(1), WithMaxEntries(2), WithTTL(100*time.Millisecond),
-		WithRefreshWindow(30*time.Millisecond), clock.opt(),
-		WithOnEvict(func(_ Key, inst any, _ int64) { released[inst]++ }))
+	c := New(Config{Shards: 1, MaxEntries: 2, TTL: 100 * time.Millisecond,
+		RefreshWindow: 30 * time.Millisecond, Now: clock.now,
+		OnEvict: func(_ Key, inst any, _ int64) { released[inst]++ }})
 	key := NewKey("client", "hot")
 	c.Begin(key)
 	c.Complete(key, "gen-0", 1)
@@ -369,7 +369,7 @@ func TestPropertyInflightRefreshNeverEvicted(t *testing.T) {
 // TestAcquireClosedCache keeps the typed-error contract on the borrowing
 // face and proves the release func of an error outcome is safe to call.
 func TestAcquireClosedCache(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	c.Close()
 	_, out, release, err := c.Acquire(context.Background(), NewKey("c", "a"),
 		func() (any, int64, error) { return "v", 1, nil })

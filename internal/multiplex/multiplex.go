@@ -27,12 +27,12 @@
 //     discrete-event simulator, where "building" takes virtual time and
 //     concurrent requesters for the same key coalesce onto the first
 //     build.
-//   - A blocking face (Acquire, plus the non-borrowing GetOrBuild /
-//     GetOrBuildContext wrappers) used by the live platform, where the
-//     build runs real code and concurrent goroutines coalesce
-//     singleflight-style. Acquire additionally lends the instance to the
-//     caller: evictions of a lent instance defer the OnEvict hook until
-//     its release, so in-use clients are never closed mid-request.
+//   - A blocking face (Acquire, plus the non-borrowing GetOrBuildContext
+//     wrapper) used by the live platform, where the build runs real code
+//     and concurrent goroutines coalesce singleflight-style. Acquire
+//     additionally lends the instance to the caller: evictions of a lent
+//     instance defer the OnEvict hook until its release, so in-use
+//     clients are never closed mid-request.
 package multiplex
 
 import (
@@ -142,8 +142,7 @@ func (o Outcome) String() string {
 	}
 }
 
-// Cached reports whether the outcome avoided a synchronous build (the
-// deprecated Get face folds outcomes into this boolean).
+// Cached reports whether the outcome avoided a synchronous build.
 func (o Outcome) Cached() bool {
 	return o == OutcomeHit || o == OutcomeCoalesced || o == OutcomeStale
 }
@@ -296,67 +295,13 @@ type Config struct {
 	OnEvict func(Key, any, int64)
 }
 
-// Option configures a Cache built with New.
-type Option func(*Config)
-
-// WithShards sets the lock-stripe count (rounded up to a power of two).
-func WithShards(n int) Option {
-	return func(c *Config) { c.Shards = n }
-}
-
-// WithMaxEntries bounds the number of ready instances held; when a build
-// completes over the bound, the shard's least-recently-used ready instance
-// is evicted. Zero or negative means unbounded.
-func WithMaxEntries(n int) Option {
-	return func(c *Config) { c.MaxEntries = n }
-}
-
-// WithTTL expires ready instances by age.
-func WithTTL(d time.Duration) Option {
-	return func(c *Config) { c.TTL = d }
-}
-
-// WithRefreshWindow enables stale-while-revalidate inside the window.
-func WithRefreshWindow(d time.Duration) Option {
-	return func(c *Config) { c.RefreshWindow = d }
-}
-
-// WithNegativeBackoff enables negative caching with the given base
-// backoff.
-func WithNegativeBackoff(base, max time.Duration) Option {
-	return func(c *Config) { c.NegativeBackoff, c.NegativeBackoffMax = base, max }
-}
-
-// WithClock injects the cache's monotonic clock (virtual time in the
-// simulator).
-func WithClock(now func() time.Duration) Option {
-	return func(c *Config) { c.Now = now }
-}
-
-// WithOnEvict registers the entry-lifecycle closer hook, invoked outside
-// the shard lock whenever an instance leaves the cache, receiving its key,
-// instance and byte size — e.g. to close sockets or return memory to a
-// ledger.
-func WithOnEvict(fn func(Key, any, int64)) Option {
-	return func(c *Config) { c.OnEvict = fn }
-}
-
 // Cache is one container's Resource Multiplexer.
 //
-// The zero value is not usable; create caches with New or NewWithConfig.
+// The zero value is not usable; create caches with New.
 type Cache struct {
 	cfg    Config
 	shards []*shard
 	mask   uint64
-}
-
-// New creates an empty cache from options.
-func New(opts ...Option) *Cache {
-	var cfg Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewWithConfig(cfg)
 }
 
 // nextPow2 rounds n up to the next power of two (minimum 1).
@@ -368,8 +313,8 @@ func nextPow2(n int) int {
 	return p
 }
 
-// NewWithConfig creates an empty cache from cfg.
-func NewWithConfig(cfg Config) *Cache {
+// New creates an empty cache from cfg.
+func New(cfg Config) *Cache {
 	n := cfg.Shards
 	auto := n <= 0
 	if auto {
@@ -485,27 +430,6 @@ func (c *Cache) FailErr(key Key, cause error) {
 // reports whether an entry was dropped or condemned.
 func (c *Cache) Invalidate(key Key) bool {
 	return c.shardFor(key).invalidate(key)
-}
-
-// GetOrBuild is the deprecated blocking face: it returns the cached
-// instance for key, or runs build exactly once per miss while concurrent
-// callers wait. The boolean reports whether the value was served from
-// cache (hit, stale hit or coalesced wait). On a closed cache it degrades
-// to building an uncached instance, preserving the seed cache's teardown
-// behaviour.
-//
-// Deprecated: use GetOrBuildContext, which reports a typed Outcome and
-// respects context cancellation.
-func (c *Cache) GetOrBuild(key Key, build func() (any, int64, error)) (any, bool, error) {
-	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
-	if err != nil && errors.Is(err, ErrCacheClosed) {
-		v, _, berr := build()
-		if berr != nil {
-			return nil, false, &buildError{key: key, cause: berr}
-		}
-		return v, false, nil
-	}
-	return v, out.Cached(), err
 }
 
 // GetOrBuildContext is the non-borrowing blocking face: Acquire with the

@@ -1,6 +1,7 @@
 package multiplex
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,7 +42,7 @@ func TestBeginResultString(t *testing.T) {
 }
 
 func TestMissThenHit(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	res, inst := c.Begin(key)
 	if res != BeginMiss || inst != nil {
@@ -65,7 +66,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestPendingCoalesces(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	if res, _ := c.Begin(key); res != BeginMiss {
 		t.Fatal("first Begin should miss")
@@ -91,7 +92,7 @@ func TestPendingCoalesces(t *testing.T) {
 }
 
 func TestWaitOnReadyKeyFiresImmediately(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "inst", 1)
@@ -108,7 +109,7 @@ func TestWaitOnReadyKeyFiresImmediately(t *testing.T) {
 }
 
 func TestWaitOnAbsentKeyFiresNil(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	fired := false
 	c.Wait(NewKey("x", "y"), func(v any) {
 		fired = true
@@ -122,7 +123,7 @@ func TestWaitOnAbsentKeyFiresNil(t *testing.T) {
 }
 
 func TestFailNotifiesWaitersWithNil(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	var got []any
@@ -138,7 +139,7 @@ func TestFailNotifiesWaitersWithNil(t *testing.T) {
 }
 
 func TestCompleteOnUnknownOrReadyKeyIsNoop(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	c.Complete(NewKey("x", "y"), "v", 1) // unknown: no-op
 	key := NewKey("a", "b")
 	c.Begin(key)
@@ -155,7 +156,7 @@ func TestCompleteOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 }
 
 func TestFailOnUnknownOrReadyKeyIsNoop(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	c.Fail(NewKey("x", "y"))
 	key := NewKey("a", "b")
 	c.Begin(key)
@@ -167,7 +168,7 @@ func TestFailOnUnknownOrReadyKeyIsNoop(t *testing.T) {
 }
 
 func TestDistinctArgsAreDistinctEntries(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	k1 := NewKey("client", "bucketA")
 	k2 := NewKey("client", "bucketB")
 	c.Begin(k1)
@@ -178,20 +179,20 @@ func TestDistinctArgsAreDistinctEntries(t *testing.T) {
 }
 
 func TestGetOrBuildBlockingFace(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	builds := 0
 	build := func() (any, int64, error) {
 		builds++
 		return "inst", 10, nil
 	}
-	v, cached, err := c.GetOrBuild(key, build)
-	if err != nil || cached || v != "inst" {
-		t.Fatalf("first GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+	if err != nil || out != OutcomeMiss || v != "inst" {
+		t.Fatalf("first GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
-	v, cached, err = c.GetOrBuild(key, build)
-	if err != nil || !cached || v != "inst" {
-		t.Fatalf("second GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err = c.GetOrBuildContext(context.Background(), key, build)
+	if err != nil || out != OutcomeHit || v != "inst" {
+		t.Fatalf("second GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
@@ -199,22 +200,22 @@ func TestGetOrBuildBlockingFace(t *testing.T) {
 }
 
 func TestGetOrBuildPropagatesError(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	wantErr := errors.New("no network")
-	_, _, err := c.GetOrBuild(key, func() (any, int64, error) { return nil, 0, wantErr })
+	_, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrapped %v", err, wantErr)
 	}
 	// A later build can succeed.
-	v, cached, err := c.GetOrBuild(key, func() (any, int64, error) { return "ok", 1, nil })
-	if err != nil || cached || v != "ok" {
-		t.Fatalf("retry GetOrBuild = %v, %v, %v", v, cached, err)
+	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
+	if err != nil || out != OutcomeMiss || v != "ok" {
+		t.Fatalf("retry GetOrBuildContext = %v, %v, %v", v, out, err)
 	}
 }
 
 func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	var builds atomic.Int64
 	release := make(chan struct{})
@@ -225,13 +226,13 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.GetOrBuild(key, func() (any, int64, error) {
+			v, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 				builds.Add(1)
 				<-release
 				return "inst", 5, nil
 			})
 			if err != nil {
-				t.Errorf("GetOrBuild: %v", err)
+				t.Errorf("GetOrBuildContext: %v", err)
 			}
 			results[i] = v
 		}()
@@ -256,7 +257,7 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	for i := 0; i < 3; i++ {
 		key := NewKey("client", fmt.Sprintf("args%d", i))
 		c.Begin(key)
@@ -276,14 +277,14 @@ func TestClose(t *testing.T) {
 }
 
 func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		// This waiter blocks on the pending build; Close must release it.
-		_, _, _ = c.GetOrBuild(key, func() (any, int64, error) { return "x", 1, nil })
+		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
 	}()
 	// Give the goroutine a chance to register; stop once it is either
 	// waiting (pending) or already finished (hit).
@@ -303,7 +304,7 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 // non-first creation is saved.
 func TestPropertyOneBuildPerDistinctKey(t *testing.T) {
 	f := func(keys []uint8) bool {
-		c := New()
+		c := New(Config{})
 		distinct := map[uint8]bool{}
 		for _, k := range keys {
 			key := NewKey("client", fmt.Sprintf("%d", k%8))
@@ -326,12 +327,12 @@ func TestPropertyOneBuildPerDistinctKey(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	var evicted []Key
 	// One shard makes the LRU order globally exact for the assertion.
-	c := New(WithShards(1), WithMaxEntries(2), WithOnEvict(func(k Key, inst any, bytes int64) {
+	c := New(Config{Shards: 1, MaxEntries: 2, OnEvict: func(k Key, inst any, bytes int64) {
 		evicted = append(evicted, k)
 		if bytes != 10 {
 			t.Errorf("evicted bytes = %d, want 10", bytes)
 		}
-	}))
+	}})
 	k1, k2, k3 := NewKey("c", "1"), NewKey("c", "2"), NewKey("c", "3")
 	for _, k := range []Key{k1, k2} {
 		c.Begin(k)
@@ -357,7 +358,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestUnboundedCacheNeverEvicts(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	for i := 0; i < 100; i++ {
 		k := NewKey("c", fmt.Sprintf("%d", i))
 		c.Begin(k)
@@ -370,7 +371,7 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 }
 
 func TestEvictionNeverDropsTheJustCompletedEntry(t *testing.T) {
-	c := New(WithMaxEntries(1))
+	c := New(Config{MaxEntries: 1})
 	k1, k2 := NewKey("c", "1"), NewKey("c", "2")
 	c.Begin(k1)
 	c.Complete(k1, "v1", 1)
@@ -390,7 +391,7 @@ func TestEvictionNeverDropsTheJustCompletedEntry(t *testing.T) {
 func TestPropertyBoundedCacheInvariant(t *testing.T) {
 	f := func(ops []uint8, boundRaw uint8) bool {
 		bound := int(boundRaw%5) + 1
-		c := New(WithMaxEntries(bound))
+		c := New(Config{MaxEntries: bound})
 		begins := uint64(0)
 		for _, op := range ops {
 			k := NewKey("c", fmt.Sprintf("%d", op%16))
@@ -415,7 +416,7 @@ func TestPropertyBoundedCacheInvariant(t *testing.T) {
 }
 
 func TestCloseNotifiesPendingWaitersWithNil(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	var got []any

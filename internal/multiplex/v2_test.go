@@ -19,7 +19,6 @@ type testClock struct{ ns atomic.Int64 }
 func (tc *testClock) now() time.Duration      { return time.Duration(tc.ns.Load()) }
 func (tc *testClock) advance(d time.Duration) { tc.ns.Add(int64(d)) }
 func (tc *testClock) set(d time.Duration)     { tc.ns.Store(int64(d)) }
-func (tc *testClock) opt() Option             { return WithClock(tc.now) }
 func newTestClock(start time.Duration) *testClock {
 	tc := &testClock{}
 	tc.set(start)
@@ -55,7 +54,7 @@ func TestOutcomeStringAndCached(t *testing.T) {
 }
 
 func TestGetOrBuildContextOutcomes(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	build := func() (any, int64, error) { return "inst", 10, nil }
 	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
@@ -69,7 +68,7 @@ func TestGetOrBuildContextOutcomes(t *testing.T) {
 }
 
 func TestGetOrBuildContextTypedBuildError(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	cause := errors.New("no network")
 	_, out, err := c.GetOrBuildContext(context.Background(), NewKey("c", "a"),
 		func() (any, int64, error) { return nil, 0, cause })
@@ -90,8 +89,8 @@ func TestGetOrBuildContextTypedBuildError(t *testing.T) {
 func TestTTLExpiryReleasesThroughOnEvict(t *testing.T) {
 	clock := newTestClock(0)
 	var released []Key
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), clock.opt(),
-		WithOnEvict(func(k Key, _ any, _ int64) { released = append(released, k) }))
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, Now: clock.now,
+		OnEvict: func(k Key, _ any, _ int64) { released = append(released, k) }})
 	key := NewKey("client", "args")
 	if _, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
@@ -123,8 +122,8 @@ func TestTTLExpiryReleasesThroughOnEvict(t *testing.T) {
 func TestStaleWhileRevalidateBlockingFace(t *testing.T) {
 	clock := newTestClock(0)
 	var released atomic.Int64
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond),
-		clock.opt(), WithOnEvict(func(Key, any, int64) { released.Add(1) }))
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond,
+		Now: clock.now, OnEvict: func(Key, any, int64) { released.Add(1) }})
 	key := NewKey("client", "args")
 	if _, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
@@ -174,7 +173,7 @@ func TestStaleWhileRevalidateBlockingFace(t *testing.T) {
 
 func TestStaleWhileRevalidateEventFace(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond), clock.opt())
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "v1", 5)
@@ -196,7 +195,7 @@ func TestStaleWhileRevalidateEventFace(t *testing.T) {
 
 func TestFailedRefreshKeepsStaleInstance(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithTTL(100*time.Millisecond), WithRefreshWindow(30*time.Millisecond), clock.opt())
+	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "v1", 5)
@@ -218,7 +217,7 @@ func TestFailedRefreshKeepsStaleInstance(t *testing.T) {
 
 func TestNegativeCacheDeniesWithBackoff(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithNegativeBackoff(100*time.Millisecond, time.Second), clock.opt())
+	c := New(Config{Shards: 1, NegativeBackoff: 100 * time.Millisecond, NegativeBackoffMax: time.Second, Now: clock.now})
 	key := NewKey("client", "args")
 	cause := errors.New("endpoint down")
 	builds := 0
@@ -263,7 +262,7 @@ func TestNegativeCacheDeniesWithBackoff(t *testing.T) {
 
 func TestNegativeBackoffCap(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithNegativeBackoff(100*time.Millisecond, 250*time.Millisecond), clock.opt())
+	c := New(Config{Shards: 1, NegativeBackoff: 100 * time.Millisecond, NegativeBackoffMax: 250 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
 	fail := func() (any, int64, error) { return nil, 0, errors.New("down") }
 	for i := 0; i < 5; i++ {
@@ -279,7 +278,7 @@ func TestNegativeBackoffCap(t *testing.T) {
 
 func TestNegativeEventFace(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithNegativeBackoff(100*time.Millisecond, 0), clock.opt())
+	c := New(Config{Shards: 1, NegativeBackoff: 100 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
 	if res, _ := c.Begin(key); res != BeginMiss {
 		t.Fatal("want miss")
@@ -311,7 +310,7 @@ func TestNegativeEventFace(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	var released []Key
-	c := New(WithShards(1), WithOnEvict(func(k Key, _ any, _ int64) { released = append(released, k) }))
+	c := New(Config{Shards: 1, OnEvict: func(k Key, _ any, _ int64) { released = append(released, k) }})
 	key := NewKey("client", "args")
 	if c.Invalidate(key) {
 		t.Fatal("invalidate on absent key should report false")
@@ -338,7 +337,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestInvalidateResetsNegativeEntry(t *testing.T) {
 	clock := newTestClock(0)
-	c := New(WithShards(1), WithNegativeBackoff(time.Hour, 0), clock.opt())
+	c := New(Config{Shards: 1, NegativeBackoff: time.Hour, Now: clock.now})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.FailErr(key, errors.New("down"))
@@ -354,7 +353,7 @@ func TestInvalidateResetsNegativeEntry(t *testing.T) {
 }
 
 func TestClosedCacheTypedError(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Complete(key, "v", 1)
@@ -365,17 +364,11 @@ func TestClosedCacheTypedError(t *testing.T) {
 	if out != OutcomeError || !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("closed get = %v, %v; want error, ErrCacheClosed", out, err)
 	}
-	// The deprecated face degrades to uncached builds (seed teardown
-	// semantics), never an error.
-	v, cached, err := c.GetOrBuild(key, func() (any, int64, error) { return "fresh", 1, nil })
-	if err != nil || cached || v != "fresh" {
-		t.Fatalf("closed GetOrBuild = %v, %v, %v; want fresh, false, nil", v, cached, err)
-	}
 }
 
 func TestCloseReleasesReadyInstancesThroughOnEvict(t *testing.T) {
 	var released int
-	c := New(WithOnEvict(func(Key, any, int64) { released++ }))
+	c := New(Config{OnEvict: func(Key, any, int64) { released++ }})
 	for i := 0; i < 3; i++ {
 		k := NewKey("c", fmt.Sprintf("%d", i))
 		c.Begin(k)
@@ -394,7 +387,7 @@ func TestCloseReleasesReadyInstancesThroughOnEvict(t *testing.T) {
 
 func TestCompleteAfterCloseReleasesOrphan(t *testing.T) {
 	var released int
-	c := New(WithOnEvict(func(Key, any, int64) { released++ }))
+	c := New(Config{OnEvict: func(Key, any, int64) { released++ }})
 	key := NewKey("client", "args")
 	c.Begin(key)
 	c.Close()
@@ -405,7 +398,7 @@ func TestCompleteAfterCloseReleasesOrphan(t *testing.T) {
 }
 
 func TestGetOrBuildContextCancellationWhileCoalesced(t *testing.T) {
-	c := New()
+	c := New(Config{})
 	key := NewKey("client", "args")
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -427,20 +420,20 @@ func TestGetOrBuildContextCancellationWhileCoalesced(t *testing.T) {
 }
 
 func TestShardsRoundedAndClamped(t *testing.T) {
-	if n := New(WithShards(5)).Stats().Shards; n != 8 {
+	if n := New(Config{Shards: 5}).Stats().Shards; n != 8 {
 		t.Fatalf("Shards(5) rounded to %d, want 8", n)
 	}
 	// Capacity 2 cannot feed 8 shards a slot each: clamp to 2.
-	if n := New(WithShards(8), WithMaxEntries(2)).Stats().Shards; n != 2 {
+	if n := New(Config{Shards: 8, MaxEntries: 2}).Stats().Shards; n != 2 {
 		t.Fatalf("shards with MaxEntries 2 = %d, want 2", n)
 	}
-	if n := New().Stats().Shards; n < 8 {
+	if n := New(Config{}).Stats().Shards; n < 8 {
 		t.Fatalf("auto shards = %d, want >= 8", n)
 	}
 }
 
 func TestShardedKeysDistribute(t *testing.T) {
-	c := New(WithShards(16))
+	c := New(Config{Shards: 16})
 	for i := 0; i < 256; i++ {
 		k := NewKey("client", fmt.Sprintf("args-%d", i))
 		c.Begin(k)
@@ -473,14 +466,15 @@ func TestStatsAdd(t *testing.T) {
 // whose builds fail — with a capacity bound, negative caching and
 // stale-while-revalidate all enabled at once.
 func TestConcurrentMixedStress(t *testing.T) {
-	c := New(
-		WithShards(8),
-		WithMaxEntries(32),
-		WithTTL(5*time.Millisecond),
-		WithRefreshWindow(time.Millisecond),
-		WithNegativeBackoff(time.Millisecond, 8*time.Millisecond),
-		WithOnEvict(func(Key, any, int64) {}),
-	)
+	c := New(Config{
+		Shards:             8,
+		MaxEntries:         32,
+		TTL:                5 * time.Millisecond,
+		RefreshWindow:      time.Millisecond,
+		NegativeBackoff:    time.Millisecond,
+		NegativeBackoffMax: 8 * time.Millisecond,
+		OnEvict:            func(Key, any, int64) {},
+	})
 	const goroutines = 16
 	const opsPerG = 400
 	var wg sync.WaitGroup
@@ -552,7 +546,7 @@ func TestPropertyBoundNeverExceededAndInflightNeverEvicted(t *testing.T) {
 	f := func(ops []uint16, boundRaw, shardsRaw uint8) bool {
 		bound := int(boundRaw%8) + 1
 		shards := 1 << (shardsRaw % 3) // 1, 2 or 4
-		c := New(WithShards(shards), WithMaxEntries(bound))
+		c := New(Config{Shards: shards, MaxEntries: bound})
 		pending := map[Key]bool{}
 		for _, op := range ops {
 			key := NewKey("c", fmt.Sprintf("%d", op%32))

@@ -260,7 +260,7 @@ func (n *Node) startCreation(req *createReq) {
 			return
 		}
 		if req.opts.Multiplex {
-			c.cache = multiplex.NewWithConfig(n.containerCacheConfig(c, req.opts.Multiplexer))
+			c.cache = multiplex.New(n.containerCacheConfig(c, req.opts.Multiplexer))
 		} else {
 			c.cacheDisabled = true
 		}

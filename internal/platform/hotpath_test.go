@@ -270,9 +270,11 @@ func BenchmarkWarmSubmitParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkHTTPInvokeWarm measures the live gateway path end to end (the
-// BENCH_hotpath.json gateway_live series): HTTP decode, sharded submit,
-// byte-oriented encode.
+// BenchmarkHTTPInvokeWarm measures the gateway's in-process /invoke
+// handler: request decode, sharded submit and byte-oriented encode,
+// called directly with no network or connection handling. It is not the
+// BENCH_hotpath.json gateway_live series, which is a loopback HTTP round
+// trip.
 func BenchmarkHTTPInvokeWarm(b *testing.B) {
 	p, err := New(hotpathConfig())
 	if err != nil {

@@ -9,9 +9,8 @@
 //     a dispatch interval and expands each group inside one container
 //     (a goroutine-backed worker with a simulated cold-start delay);
 //   - each container carries a Resource Multiplexer; handlers obtain
-//     shared clients through Resources.GetContext (or the deprecated
-//     Resources.Get), so duplicate constructions coalesce exactly as in
-//     §III-D.
+//     shared clients through Resources.GetContext, so duplicate
+//     constructions coalesce exactly as in §III-D.
 //
 // A per-invocation mode (Vanilla) is included for comparison, and
 // NewHTTPHandler exposes the platform over HTTP (cmd/faasgate).
@@ -111,8 +110,6 @@ type Resources struct {
 	// hands out. The platform gives each invocation its own view and
 	// releases after the handler returns, so an instance evicted while
 	// the handler still uses it is closed only once the handler is done.
-	// Nil on views without a release bracket (those fall back to the
-	// non-borrowing face).
 	borrows *borrowSet
 
 	// Trace context (zero on untraced views).
@@ -208,36 +205,12 @@ func (r *Resources) getCached(ctx context.Context, callee, argsKey string, build
 		}
 		return v, OutcomeMiss, nil
 	}
-	key := multiplex.NewKey(callee, argsKey)
-	if r.borrows == nil {
-		return r.cache.GetOrBuildContext(ctx, key, build)
-	}
 	// Borrow the instance for the rest of the invocation: if it is
 	// evicted while the handler still holds it, its Closer runs only
 	// after the handler returns.
-	v, out, release, err := r.cache.Acquire(ctx, key, build)
+	v, out, release, err := r.cache.Acquire(ctx, multiplex.NewKey(callee, argsKey), build)
 	r.borrows.add(release)
 	return v, out, err
-}
-
-// Get returns the shared instance for (callee, argsKey). The boolean
-// reports whether the instance came from the cache.
-//
-// Deprecated: use GetContext, which adds cancellation, an Outcome and
-// typed errors. Get remains as a compatibility wrapper: it maps the
-// Outcome to Outcome.Cached and, when the container's cache has already
-// been torn down, degrades to an uncached build instead of surfacing
-// ErrCacheClosed.
-func (r *Resources) Get(callee, argsKey string, build func() (any, int64, error)) (any, bool, error) {
-	v, out, err := r.GetContext(context.Background(), callee, argsKey, build)
-	if err != nil && errors.Is(err, ErrCacheClosed) {
-		uncached := &Resources{
-			inj: r.inj, tracer: r.tracer, trace: r.trace,
-			fn: r.fn, container: r.container,
-		}
-		v, out, err = uncached.GetContext(context.Background(), callee, argsKey, build)
-	}
-	return v, out.Cached(), err
 }
 
 // Invalidate drops the shared instance for (callee, argsKey), reporting
@@ -1242,7 +1215,7 @@ func (p *Platform) acquire(f *function) (*container, bool) {
 	c := &container{id: fmt.Sprintf("live-%04d-%s", p.seq.Add(1), f.name), fn: f.name}
 	res := &Resources{inj: p.cfg.Chaos}
 	if p.cfg.Multiplex {
-		res.cache = multiplex.NewWithConfig(p.containerCacheConfig())
+		res.cache = multiplex.New(p.containerCacheConfig())
 	}
 	c.resources = res
 	c.active++

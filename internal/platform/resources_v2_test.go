@@ -203,28 +203,6 @@ func TestBorrowedClientClosesAfterHandlerReturns(t *testing.T) {
 	}
 }
 
-// TestDeprecatedGetStillWorks locks the compatibility wrapper: the
-// boolean face reports cached-ness exactly as the seed API did.
-func TestDeprecatedGetStillWorks(t *testing.T) {
-	p := newPlatform(t, quickConfig(ModeBatch))
-	err := p.Register("fn", func(_ context.Context, inv *Invocation) (any, error) {
-		build := func() (any, int64, error) { return "v", 1, nil }
-		if _, cached, err := inv.Resources.Get("s3", "k", build); err != nil || cached {
-			return nil, fmt.Errorf("first Get cached=%v err=%v", cached, err)
-		}
-		if _, cached, err := inv.Resources.Get("s3", "k", build); err != nil || !cached {
-			return nil, fmt.Errorf("second Get cached=%v err=%v", cached, err)
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, err := p.Invoke(context.Background(), "fn", nil); err != nil {
-		t.Fatalf("Invoke: %v", err)
-	}
-}
-
 // TestHTTPV1RouteParity proves the /v1 prefix serves the same surface as
 // the legacy paths: /invoke and /v1/invoke return identical responses
 // for the same request (modulo per-call latency measurements), and every

@@ -16,7 +16,7 @@ type memEvent struct {
 // runtime worker addition — and the transitions that must NOT fire
 // (administrative states absorbing probe results, standby removal).
 func TestOnMembershipHook(t *testing.T) {
-	reg, err := NewRegistryWithConfig(RegistryConfig{
+	reg, err := NewRegistry(RegistryConfig{
 		Workers: []WorkerSpec{
 			{ID: "w1", URL: "http://w1.invalid"},
 			{ID: "w2", URL: "http://w2.invalid"},
@@ -25,7 +25,7 @@ func TestOnMembershipHook(t *testing.T) {
 		MarkUpAfter:   2,
 	})
 	if err != nil {
-		t.Fatalf("NewRegistryWithConfig: %v", err)
+		t.Fatalf("NewRegistry: %v", err)
 	}
 	var got []memEvent
 	reg.OnMembership(func(id string, inRing bool) {

@@ -1,105 +1,70 @@
 package router
 
 import (
-	"errors"
-	"log/slog"
-	"strings"
+	"net/http"
 	"testing"
 
-	"faasbatch/internal/autoscale"
 	"faasbatch/internal/pullsched"
 )
 
-// optSpecs is a minimal valid worker set for option tests.
+// optSpecs is a minimal valid worker set for construction tests.
 func optSpecs() []WorkerSpec {
 	return []WorkerSpec{{ID: "w1", URL: "http://w1.invalid"}}
 }
 
+// TestOptionsApply checks that WithTransport, the one router Option,
+// lands in the config New builds from.
 func TestOptionsApply(t *testing.T) {
-	logger := slog.Default()
-	rt, err := New(Config{Workers: optSpecs()},
-		WithPolicy(PolicyPull),
-		WithLogger(logger),
-	)
-	if err != nil {
-		t.Fatalf("New with options: %v", err)
-	}
-	defer func() { _ = rt.Close() }()
-	if rt.Policy().Name() != PolicyPull {
-		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
-	}
-	if rt.logger != logger {
-		t.Fatal("WithLogger not applied")
-	}
-}
-
-// WithPullConfig implies the pull policy without naming it.
-func TestWithPullConfigImpliesPull(t *testing.T) {
-	rt, err := New(Config{Workers: optSpecs()},
-		WithPullConfig(pullsched.Config{QueueDepth: 3}))
+	tr := &http.Transport{}
+	rt, err := New(Config{Workers: optSpecs()}, WithTransport(tr))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer func() { _ = rt.Close() }()
-	if rt.Policy().Name() != PolicyPull {
-		t.Fatalf("policy = %q, want pull", rt.Policy().Name())
-	}
-	if d := rt.pullCore().core.Config().QueueDepth; d != 3 {
-		t.Fatalf("queue depth = %d, want 3", d)
+	if rt.client.Transport != tr {
+		t.Fatal("WithTransport not applied")
 	}
 }
 
-func TestOptionConflicts(t *testing.T) {
+// TestNewPolicyConfig pins New's policy validation: an unknown policy
+// fails, and Config.Pull is accepted only with PolicyPull.
+func TestNewPolicyConfig(t *testing.T) {
+	pull := &pullsched.Config{QueueDepth: 3}
 	cases := []struct {
-		name string
-		cfg  Config
-		opts []Option
-		knob string
+		name   string
+		cfg    Config
+		ok     bool
+		policy string
 	}{
-		{"policy twice", Config{},
-			[]Option{WithPolicy(PolicyPull), WithPolicy(PolicyHash)}, "policy"},
-		{"policy both ways", Config{Policy: PolicyHash},
-			[]Option{WithPolicy(PolicyPull)}, "policy"},
-		{"pull config both ways", Config{Pull: &pullsched.Config{}},
-			[]Option{WithPullConfig(pullsched.Config{})}, "pull"},
-		{"pull config vs hash policy", Config{},
-			[]Option{WithPullConfig(pullsched.Config{}), WithPolicy(PolicyHash)}, "policy"},
-		{"pull config vs cfg hash policy", Config{Policy: PolicyHash},
-			[]Option{WithPullConfig(pullsched.Config{})}, "policy"},
-		{"autoscale both ways", Config{Autoscale: &autoscale.Config{}},
-			[]Option{WithAutoscale(autoscale.Config{})}, "autoscale"},
-		{"logger both ways", Config{Logger: slog.Default()},
-			[]Option{WithLogger(slog.Default())}, "logger"},
-		{"logger twice", Config{},
-			[]Option{WithLogger(slog.Default()), WithLogger(slog.Default())}, "logger"},
+		{name: "unknown policy", cfg: Config{Policy: "mystery"}},
+		{name: "pull config with empty policy", cfg: Config{Pull: pull}},
+		{name: "pull config with hash policy", cfg: Config{Policy: PolicyHash, Pull: pull}},
+		{name: "pull config with pull policy", cfg: Config{Policy: PolicyPull, Pull: pull}, ok: true, policy: PolicyPull},
+		{name: "empty policy", cfg: Config{}, ok: true, policy: PolicyHash},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Workers = optSpecs()
-			_, err := New(tc.cfg, tc.opts...)
-			if !errors.Is(err, ErrConflictingOptions) {
-				t.Fatalf("err = %v, want ErrConflictingOptions", err)
+			rt, err := New(tc.cfg)
+			if !tc.ok {
+				if err == nil {
+					_ = rt.Close()
+					t.Fatal("New accepted the config")
+				}
+				return
 			}
-			if !strings.Contains(err.Error(), tc.knob) {
-				t.Fatalf("error %q does not name knob %q", err, tc.knob)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer func() { _ = rt.Close() }()
+			if got := rt.Policy().Name(); got != tc.policy {
+				t.Fatalf("policy = %q, want %q", got, tc.policy)
+			}
+			if tc.cfg.Pull != nil {
+				if d := rt.pullCore().core.Config().QueueDepth; d != tc.cfg.Pull.QueueDepth {
+					t.Fatalf("queue depth = %d, want %d", d, tc.cfg.Pull.QueueDepth)
+				}
 			}
 		})
-	}
-}
-
-// Config.Policy=PolicyPull plus WithPullConfig tuning is consistent,
-// not a conflict — the option only adds the tuning struct.
-func TestPullConfigWithMatchingPolicy(t *testing.T) {
-	rt, err := New(Config{Workers: optSpecs(), Policy: PolicyPull},
-		WithPullConfig(pullsched.Config{QueueDepth: 2}))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	_ = rt.Close()
-}
-
-func TestUnknownPolicyRejected(t *testing.T) {
-	if _, err := New(Config{Workers: optSpecs(), Policy: "mystery"}); err == nil {
-		t.Fatal("New accepted an unknown policy")
 	}
 }

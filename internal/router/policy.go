@@ -2,17 +2,9 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"strings"
 
-	"faasbatch/internal/autoscale"
-	"faasbatch/internal/chaos"
 	"faasbatch/internal/httpapi"
-	"faasbatch/internal/obs"
-	"faasbatch/internal/pullsched"
 )
 
 // Policy names accepted by Config.Policy and the -policy flag.
@@ -121,174 +113,4 @@ func (b *hashBinding) Done(bool) {}
 // detail implements Binding.
 func (b *hashBinding) detail() string {
 	return fmt.Sprintf("candidates=%d", len(b.cands))
-}
-
-// ErrConflictingOptions marks a New call that sets the same knob both
-// in the Config struct and through a functional option (or passes the
-// same option twice). Match with errors.Is.
-var ErrConflictingOptions = errors.New("router: conflicting options")
-
-// Option customises New beyond the Config struct, mirroring the
-// facade's PlatformOption pattern. Options and config-struct
-// construction compose, but each knob may be set through only one of
-// the two — setting it through both fails with ErrConflictingOptions.
-type Option func(*routerOptions)
-
-// routerOptions accumulates functional-option state before it is
-// merged into the config.
-type routerOptions struct {
-	policy       string
-	policySet    bool
-	pull         *pullsched.Config
-	pullSet      bool
-	scale        *autoscale.Config
-	scaleSet     bool
-	chaos        *chaos.Injector
-	chaosSet     bool
-	tracer       *obs.Tracer
-	tracerSet    bool
-	logger       *slog.Logger
-	loggerSet    bool
-	transport    http.RoundTripper
-	transportSet bool
-	duplicates   []string
-}
-
-func (o *routerOptions) noteDup(name string, set bool) {
-	if set {
-		o.duplicates = append(o.duplicates, name)
-	}
-}
-
-// WithPolicy selects the scheduling policy by name (equivalent to
-// Config.Policy; setting both conflicts).
-func WithPolicy(name string) Option {
-	return func(o *routerOptions) {
-		o.noteDup("policy", o.policySet)
-		o.policy, o.policySet = name, true
-	}
-}
-
-// WithPullConfig selects the pull policy with explicit queue tuning
-// (equivalent to Config.Policy=PolicyPull plus Config.Pull; a non-nil
-// config-struct Pull or explicit Policy conflicts).
-func WithPullConfig(cfg pullsched.Config) Option {
-	return func(o *routerOptions) {
-		o.noteDup("pull", o.pullSet)
-		c := cfg
-		o.pull, o.pullSet = &c, true
-	}
-}
-
-// WithAutoscale enables the predictive autoscaling control loop
-// (equivalent to Config.Autoscale; setting both conflicts).
-func WithAutoscale(cfg autoscale.Config) Option {
-	return func(o *routerOptions) {
-		o.noteDup("autoscale", o.scaleSet)
-		c := cfg
-		o.scale, o.scaleSet = &c, true
-	}
-}
-
-// WithChaos installs a deterministic fault injector (equivalent to
-// Config.Chaos; setting both conflicts).
-func WithChaos(inj *chaos.Injector) Option {
-	return func(o *routerOptions) {
-		o.noteDup("chaos", o.chaosSet)
-		o.chaos, o.chaosSet = inj, true
-	}
-}
-
-// WithTracer installs the router's span recorder (equivalent to
-// Config.Tracer; setting both conflicts).
-func WithTracer(t *obs.Tracer) Option {
-	return func(o *routerOptions) {
-		o.noteDup("tracer", o.tracerSet)
-		o.tracer, o.tracerSet = t, true
-	}
-}
-
-// WithLogger installs the router's structured logger (equivalent to
-// Config.Logger; setting both conflicts).
-func WithLogger(l *slog.Logger) Option {
-	return func(o *routerOptions) {
-		o.noteDup("logger", o.loggerSet)
-		o.logger, o.loggerSet = l, true
-	}
-}
-
-// WithTransport overrides the forwarding HTTP transport (equivalent to
-// Config.Transport; setting both conflicts). Tests use it to route
-// forwards through in-process workers.
-func WithTransport(t http.RoundTripper) Option {
-	return func(o *routerOptions) {
-		o.noteDup("transport", o.transportSet)
-		o.transport, o.transportSet = t, true
-	}
-}
-
-// mergeOptions folds functional options into cfg, failing on knobs set
-// both ways (facade ErrConflictingOptions semantics).
-func mergeOptions(cfg Config, opts []Option) (Config, error) {
-	var o routerOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	conflicts := o.duplicates
-	if o.policySet && cfg.Policy != "" {
-		conflicts = append(conflicts, "policy")
-	}
-	if o.pullSet && cfg.Pull != nil {
-		conflicts = append(conflicts, "pull")
-	}
-	if o.pullSet && o.policySet && o.policy != PolicyPull {
-		// WithPullConfig implies the pull policy; naming another one is
-		// a contradiction, not a tie to break silently.
-		conflicts = append(conflicts, "policy")
-	}
-	if o.pullSet && !o.policySet && cfg.Policy != "" && cfg.Policy != PolicyPull {
-		conflicts = append(conflicts, "policy")
-	}
-	if o.scaleSet && cfg.Autoscale != nil {
-		conflicts = append(conflicts, "autoscale")
-	}
-	if o.chaosSet && cfg.Chaos != nil {
-		conflicts = append(conflicts, "chaos")
-	}
-	if o.tracerSet && cfg.Tracer != nil {
-		conflicts = append(conflicts, "tracer")
-	}
-	if o.loggerSet && cfg.Logger != nil {
-		conflicts = append(conflicts, "logger")
-	}
-	if o.transportSet && cfg.Transport != nil {
-		conflicts = append(conflicts, "transport")
-	}
-	if len(conflicts) > 0 {
-		return cfg, fmt.Errorf("%w: %s set more than once", ErrConflictingOptions,
-			strings.Join(conflicts, ", "))
-	}
-	if o.policySet {
-		cfg.Policy = o.policy
-	}
-	if o.pullSet {
-		cfg.Policy = PolicyPull
-		cfg.Pull = o.pull
-	}
-	if o.scaleSet {
-		cfg.Autoscale = o.scale
-	}
-	if o.chaosSet {
-		cfg.Chaos = o.chaos
-	}
-	if o.tracerSet {
-		cfg.Tracer = o.tracer
-	}
-	if o.loggerSet {
-		cfg.Logger = o.logger
-	}
-	if o.transportSet {
-		cfg.Transport = o.transport
-	}
-	return cfg, nil
 }

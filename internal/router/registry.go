@@ -82,9 +82,7 @@ type Registry struct {
 	onMembership  func(id string, inRing bool) // ring-membership hook, called unlocked
 }
 
-// RegistryConfig parameterises NewRegistryWithConfig — the registry's
-// knobs as one struct, matching the router.Config style, instead of
-// NewRegistry's positional arguments.
+// RegistryConfig parameterises NewRegistry.
 type RegistryConfig struct {
 	// Workers is the fleet (at least one).
 	Workers []WorkerSpec
@@ -99,25 +97,12 @@ type RegistryConfig struct {
 	MarkUpAfter int
 }
 
-// NewRegistry builds a registry over specs.
-//
-// Deprecated: use NewRegistryWithConfig, which names the knobs. This
-// wrapper remains for callers predating the policy API redesign.
-func NewRegistry(specs []WorkerSpec, vnodes, markDownAfter, markUpAfter int) (*Registry, error) {
-	return NewRegistryWithConfig(RegistryConfig{
-		Workers:       specs,
-		VNodes:        vnodes,
-		MarkDownAfter: markDownAfter,
-		MarkUpAfter:   markUpAfter,
-	})
-}
-
-// NewRegistryWithConfig builds a registry over cfg.Workers. Workers
-// start optimistically up (the first failed probe round marks the dead
-// ones down), so a fresh router serves traffic before its first probe
+// NewRegistry builds a registry over cfg.Workers. Workers start
+// optimistically up (the first failed probe round marks the dead ones
+// down), so a fresh router serves traffic before its first probe
 // completes. A worker is marked down after MarkDownAfter consecutive
 // failures and back up after MarkUpAfter consecutive successes.
-func NewRegistryWithConfig(cfg RegistryConfig) (*Registry, error) {
+func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("router: registry needs at least one worker")
 	}

@@ -84,7 +84,7 @@ type Config struct {
 	Policy string
 	// Pull tunes the pull policy's decision core (shards, batch size,
 	// per-worker capacity, queue depth, lease budget). Nil uses the
-	// pullsched defaults; ignored under PolicyHash.
+	// pullsched defaults; non-nil requires Policy == PolicyPull.
 	Pull *pullsched.Config
 	// ScrapeTimeout bounds one member scrape (both its /metrics and
 	// /stats round trips) when serving /cluster/metrics and
@@ -163,15 +163,25 @@ type Router struct {
 	closed  bool
 }
 
-// New builds a router over cfg.Workers. Functional options layer
-// policy, autoscale, and observability knobs over the config struct; a
-// knob set both ways (or an option passed twice) fails with
-// ErrConflictingOptions. Start launches the prober; a router without
-// Start still routes (tests drive ProbeAll directly).
+// Option customises New after the Config struct is applied.
+type Option func(*Config)
+
+// WithTransport overrides the forwarding HTTP transport, setting
+// Config.Transport.
+func WithTransport(t http.RoundTripper) Option {
+	return func(c *Config) { c.Transport = t }
+}
+
+// New builds a router over cfg.Workers, then applies opts to the
+// config. Config.Pull requires Config.Policy == PolicyPull. Start
+// launches the prober; a router without Start still routes (tests drive
+// ProbeAll directly).
 func New(cfg Config, opts ...Option) (*Router, error) {
-	cfg, err := mergeOptions(cfg, opts)
-	if err != nil {
-		return nil, err
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	if cfg.Pull != nil && cfg.Policy != PolicyPull {
+		return nil, fmt.Errorf("router: Config.Pull requires policy %q, got %q", PolicyPull, cfg.Policy)
 	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
@@ -197,7 +207,12 @@ func New(cfg Config, opts ...Option) (*Router, error) {
 	if cfg.ScrapeTimeout <= 0 {
 		cfg.ScrapeTimeout = 2 * time.Second
 	}
-	reg, err := NewRegistry(cfg.Workers, cfg.VNodes, cfg.MarkDownAfter, cfg.MarkUpAfter)
+	reg, err := NewRegistry(RegistryConfig{
+		Workers:       cfg.Workers,
+		VNodes:        cfg.VNodes,
+		MarkDownAfter: cfg.MarkDownAfter,
+		MarkUpAfter:   cfg.MarkUpAfter,
+	})
 	if err != nil {
 		return nil, err
 	}

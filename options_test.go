@@ -2,7 +2,6 @@ package faasbatch_test
 
 import (
 	"context"
-	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -11,8 +10,9 @@ import (
 	faasbatch "faasbatch"
 )
 
-// TestNewPlatformFunctionalOptions builds a platform entirely through
-// options and drives the redesigned Resources API through the facade.
+// TestNewPlatformFunctionalOptions builds a platform with a tracer, a
+// logger and a tuned multiplexer from PlatformConfig alone, and drives
+// Resources.GetContext through the facade.
 func TestNewPlatformFunctionalOptions(t *testing.T) {
 	tracer, err := faasbatch.NewWallTracer(64, 1)
 	if err != nil {
@@ -25,15 +25,11 @@ func TestNewPlatformFunctionalOptions(t *testing.T) {
 	cfg := faasbatch.DefaultPlatformConfig()
 	cfg.DispatchInterval = 20 * time.Millisecond
 	cfg.ColdStart = 5 * time.Millisecond
-	cfg.Multiplex = false // WithMultiplexer re-enables it.
-	p, err := faasbatch.NewPlatform(cfg,
-		faasbatch.WithTracer(tracer),
-		faasbatch.WithLogger(logger),
-		faasbatch.WithMultiplexer(faasbatch.MultiplexerConfig{
-			MaxEntries: 64,
-			TTL:        time.Minute,
-		}),
-	)
+	cfg.Tracer = tracer
+	cfg.Logger = logger
+	cfg.Multiplex = true
+	cfg.Multiplexer = faasbatch.MultiplexerConfig{MaxEntries: 64, TTL: time.Minute}
+	p, err := faasbatch.NewPlatform(cfg)
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
@@ -67,90 +63,16 @@ func TestNewPlatformFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestNewPlatformConflictingOptions locks the option/config conflict
-// contract: every double-set knob fails with ErrConflictingOptions and
-// names the offender.
-func TestNewPlatformConflictingOptions(t *testing.T) {
-	tracer, err := faasbatch.NewWallTracer(64, 1)
-	if err != nil {
-		t.Fatalf("NewWallTracer: %v", err)
-	}
-	logger, err := faasbatch.NewLogger(io.Discard, "info", "text")
-	if err != nil {
-		t.Fatalf("NewLogger: %v", err)
-	}
-
-	cases := []struct {
-		name string
-		cfg  func() faasbatch.PlatformConfig
-		opts []faasbatch.PlatformOption
-		want string
-	}{
-		{
-			name: "tracer in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Tracer = tracer
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithTracer(tracer)},
-			want: "tracer",
-		},
-		{
-			name: "logger in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Logger = logger
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithLogger(logger)},
-			want: "logger",
-		},
-		{
-			name: "multiplexer in config and option",
-			cfg: func() faasbatch.PlatformConfig {
-				c := faasbatch.DefaultPlatformConfig()
-				c.Multiplexer = faasbatch.MultiplexerConfig{MaxEntries: 8}
-				return c
-			},
-			opts: []faasbatch.PlatformOption{faasbatch.WithMultiplexer(faasbatch.MultiplexerConfig{MaxEntries: 16})},
-			want: "multiplexer",
-		},
-		{
-			name: "option passed twice",
-			cfg:  faasbatch.DefaultPlatformConfig,
-			opts: []faasbatch.PlatformOption{faasbatch.WithLogger(logger), faasbatch.WithLogger(logger)},
-			want: "logger",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := faasbatch.NewPlatform(tc.cfg(), tc.opts...)
-			if err == nil {
-				p.Close()
-				t.Fatal("NewPlatform succeeded, want conflict error")
-			}
-			if !errors.Is(err, faasbatch.ErrConflictingOptions) {
-				t.Fatalf("err = %v, want ErrConflictingOptions", err)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %q, want mention of %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestNewRouterFunctionalOptions drives the routing tier's redesigned
-// construction surface through the facade: options compose with the
-// config struct, and double-set knobs fail loudly — the same contract
-// NewPlatform pins for the live platform.
+// TestNewRouterFunctionalOptions builds a pull-policy router through
+// the facade from RouterConfig alone, and checks that pull tuning under
+// any other policy is rejected.
 func TestNewRouterFunctionalOptions(t *testing.T) {
 	cfg := faasbatch.RouterConfig{
 		Workers: []faasbatch.RouterWorkerSpec{{ID: "w1", URL: "http://w1.invalid"}},
+		Policy:  faasbatch.RouterPolicyPull,
+		Pull:    &faasbatch.PullConfig{QueueDepth: 8},
 	}
-	rt, err := faasbatch.NewRouter(cfg,
-		faasbatch.WithRouterPullConfig(faasbatch.PullConfig{QueueDepth: 8}),
-	)
+	rt, err := faasbatch.NewRouter(cfg)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -161,11 +83,9 @@ func TestNewRouterFunctionalOptions(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, err = faasbatch.NewRouter(cfg,
-		faasbatch.WithRouterPolicy(faasbatch.RouterPolicyHash),
-		faasbatch.WithRouterPullConfig(faasbatch.PullConfig{}),
-	)
+	cfg.Policy = faasbatch.RouterPolicyHash
+	_, err = faasbatch.NewRouter(cfg)
 	if err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("contradictory policy options: err = %v, want a policy conflict", err)
+		t.Fatalf("pull config under the hash policy: err = %v, want a policy error", err)
 	}
 }
