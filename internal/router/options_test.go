@@ -27,7 +27,8 @@ func TestOptionsApply(t *testing.T) {
 }
 
 // TestNewPolicyConfig pins New's policy validation: an unknown policy
-// fails, and Config.Pull is accepted only with PolicyPull.
+// fails, and Config.Pull is rejected unless the policy is PolicyPull
+// (TestPullConfigWithMatchingPolicy covers the accepted case).
 func TestNewPolicyConfig(t *testing.T) {
 	pull := &pullsched.Config{QueueDepth: 3}
 	cases := []struct {
@@ -39,7 +40,6 @@ func TestNewPolicyConfig(t *testing.T) {
 		{name: "unknown policy", cfg: Config{Policy: "mystery"}},
 		{name: "pull config with empty policy", cfg: Config{Pull: pull}},
 		{name: "pull config with hash policy", cfg: Config{Policy: PolicyHash, Pull: pull}},
-		{name: "pull config with pull policy", cfg: Config{Policy: PolicyPull, Pull: pull}, ok: true, policy: PolicyPull},
 		{name: "empty policy", cfg: Config{}, ok: true, policy: PolicyHash},
 	}
 	for _, tc := range cases {
@@ -60,11 +60,23 @@ func TestNewPolicyConfig(t *testing.T) {
 			if got := rt.Policy().Name(); got != tc.policy {
 				t.Fatalf("policy = %q, want %q", got, tc.policy)
 			}
-			if tc.cfg.Pull != nil {
-				if d := rt.pullCore().core.Config().QueueDepth; d != tc.cfg.Pull.QueueDepth {
-					t.Fatalf("queue depth = %d, want %d", d, tc.cfg.Pull.QueueDepth)
-				}
-			}
 		})
+	}
+}
+
+// TestPullConfigWithMatchingPolicy checks that Config.Pull paired with
+// PolicyPull builds a pull router whose queue uses the given depth.
+func TestPullConfigWithMatchingPolicy(t *testing.T) {
+	rt, err := New(Config{Workers: optSpecs(), Policy: PolicyPull,
+		Pull: &pullsched.Config{QueueDepth: 2}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = rt.Close() }()
+	if got := rt.Policy().Name(); got != PolicyPull {
+		t.Fatalf("policy = %q, want pull", got)
+	}
+	if d := rt.pullCore().core.Config().QueueDepth; d != 2 {
+		t.Fatalf("queue depth = %d, want 2", d)
 	}
 }
