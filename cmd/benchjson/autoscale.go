@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 
 	"faasbatch/internal/autoscale"
 	"faasbatch/internal/cluster"
 	"faasbatch/internal/fnruntime"
+	"faasbatch/internal/metrics"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/workload"
 )
@@ -150,11 +150,12 @@ func autoscaleReplay(mode string, acfg *autoscale.Config) (autoscaleRun, error) 
 	if len(latencies) != len(offs) {
 		return autoscaleRun{}, fmt.Errorf("autoscale %s: %d/%d invocations completed by the horizon", mode, len(latencies), len(offs))
 	}
+	cdf := metrics.NewCDF(latencies)
 	run := autoscaleRun{
 		Mode:        mode,
 		Invocations: len(offs),
-		P50Millis:   durMillis(percentile(latencies, 0.50)),
-		P99Millis:   durMillis(percentile(latencies, 0.99)),
+		P50Millis:   durMillis(cdf.P(0.50)),
+		P99Millis:   durMillis(cdf.P(0.99)),
 		ColdStarts:  cl.TotalContainers(),
 		FinalReady:  cl.ReadyNodes(),
 	}
@@ -169,17 +170,6 @@ func autoscaleReplay(mode string, acfg *autoscale.Config) (autoscaleRun, error) 
 		return autoscaleRun{}, err
 	}
 	return run, nil
-}
-
-// percentile returns the q-quantile of the sample by nearest rank.
-func percentile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 func durMillis(d time.Duration) float64 {

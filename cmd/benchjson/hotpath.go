@@ -10,10 +10,10 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"faasbatch/internal/httpapi"
+	"faasbatch/internal/metrics"
 	"faasbatch/internal/platform"
 	"faasbatch/internal/router"
 )
@@ -80,15 +80,15 @@ func measureHot(name string, ops int, fn func() error) (hotSeries, error) {
 	}
 	total := time.Since(start)
 	runtime.ReadMemStats(&after)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	cdf := metrics.NewCDF(durs)
 	n := float64(ops)
 	return hotSeries{
 		Name:        name,
 		Ops:         int64(ops),
 		NsPerOp:     round3(float64(total.Nanoseconds()) / n),
 		OpsPerSec:   round3(n / total.Seconds()),
-		P50Micros:   round3(float64(durs[ops/2].Nanoseconds()) / 1e3),
-		P99Micros:   round3(float64(durs[ops*99/100].Nanoseconds()) / 1e3),
+		P50Micros:   round3(float64(cdf.P(0.50).Nanoseconds()) / 1e3),
+		P99Micros:   round3(float64(cdf.P(0.99).Nanoseconds()) / 1e3),
 		BytesPerOp:  int64(float64(after.TotalAlloc-before.TotalAlloc)/n + 0.5),
 		AllocsPerOp: int64(float64(after.Mallocs-before.Mallocs)/n + 0.5),
 	}, nil

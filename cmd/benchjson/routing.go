@@ -10,6 +10,7 @@ import (
 
 	"faasbatch/internal/cluster"
 	"faasbatch/internal/fnruntime"
+	"faasbatch/internal/metrics"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/workload"
@@ -162,12 +163,13 @@ func routingReplay(mode string) (routingRun, error) {
 	eng.Schedule(routingOutageStart, func() { _ = cl.SetDown(routingVictim, true) })
 	eng.Schedule(routingOutageEnd, func() { _ = cl.SetDown(routingVictim, false) })
 	eng.RunUntil(sim.Time(routingHorizon))
+	cdf := metrics.NewCDF(latencies)
 	run := routingRun{
 		Policy:      mode,
 		Invocations: len(fns),
 		Lost:        len(fns) - len(latencies),
-		P50Millis:   durMillis(percentile(latencies, 0.50)),
-		P99Millis:   durMillis(percentile(latencies, 0.99)),
+		P50Millis:   durMillis(cdf.P(0.50)),
+		P99Millis:   durMillis(cdf.P(0.99)),
 		LoadCV:      round3(routedCV(cl.RoutedPerNode())),
 	}
 	if mode == "pull" {

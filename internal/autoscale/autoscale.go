@@ -1,6 +1,6 @@
 // Package autoscale is the predictive autoscaling control plane for
-// the routing tier: it tracks per-function demand (EWMA + arrival/
-// latency histograms feeding a short-horizon forecaster), computes a
+// the routing tier: it tracks per-function demand (EWMA + a per-tick
+// rate histogram feeding a short-horizon forecaster), computes a
 // target worker count per evaluation tick with hysteresis (burst
 // scale-up, cooldown scale-down, pre-warm floor), and drives worker
 // slots through explicit lifecycle transitions:
@@ -271,18 +271,10 @@ func New(cfg Config, initial int) (*Controller, error) {
 // Config reports the effective (defaulted) configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Demand exposes the tracker (histogram export for metrics).
-func (c *Controller) Demand() *Demand { return c.demand }
-
 // Observe records one arrival at offset now. Drivers call this on
 // every admitted invocation, then Wake to catch the scaled-to-zero case.
 func (c *Controller) Observe(fn string, now time.Duration) {
 	c.demand.Observe(fn, now)
-}
-
-// ObserveLatency records a completion latency (observability only).
-func (c *Controller) ObserveLatency(lat time.Duration) {
-	c.demand.ObserveLatency(lat)
 }
 
 // NoteDrained records that the driver finished draining slot w at

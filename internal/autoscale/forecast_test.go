@@ -11,31 +11,6 @@ import (
 	"time"
 )
 
-func TestHistQuantile(t *testing.T) {
-	h := NewHist([]float64{1, 10, 100})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(0.5) // bucket ≤1
-	}
-	h.Observe(50) // bucket ≤100
-	if got := h.Quantile(0.5); got != 1 {
-		t.Fatalf("p50 = %v, want 1", got)
-	}
-	if got := h.Quantile(0.95); got != 100 {
-		t.Fatalf("p95 = %v, want 100", got)
-	}
-	h.Observe(1e9) // +Inf tail reports the last finite bound
-	if got := h.Quantile(1); got != 100 {
-		t.Fatalf("p100 with overflow = %v, want 100", got)
-	}
-	h.Decay(0.5)
-	if _, counts, total := h.Snapshot(); total <= 0 || counts[0] != 4.5 {
-		t.Fatalf("decay: counts=%v total=%v", counts, total)
-	}
-}
-
 func TestDemandForecastBasics(t *testing.T) {
 	d := NewDemand(0.3)
 	if d.Forecast() != 0 || d.Functions() != 0 {
@@ -56,13 +31,6 @@ func TestDemandForecastBasics(t *testing.T) {
 	}
 	if idle := d.IdleFor(3 * time.Second); idle != 3*time.Second-950*time.Millisecond {
 		t.Fatalf("IdleFor = %v", idle)
-	}
-	d.ObserveLatency(30 * time.Millisecond)
-	if _, _, total := d.Latency().Snapshot(); total != 1 {
-		t.Fatal("latency histogram not fed")
-	}
-	if _, _, total := d.Gaps().Snapshot(); total != 19 {
-		t.Fatal("gap histogram not fed")
 	}
 }
 

@@ -129,11 +129,9 @@ func (s *simScaler) noteDrained(w int) {
 	s.ctrl.NoteDrained(w, s.ctrl.DrainStart(w), s.c.eng.Now().Duration())
 }
 
-// completed is the Submit completion hook: it feeds the invocation's
-// latency to the demand tracker (observability only) and fires the
-// drain hook when a draining node empties.
-func (s *simScaler) completed(node int, lat time.Duration) {
-	s.ctrl.ObserveLatency(lat)
+// completed is the Submit completion hook: it fires the drain hook
+// when a draining node empties.
+func (s *simScaler) completed(node int) {
 	if s.pendDrain[node] && s.c.picker.inflight[node] == 0 {
 		s.pendDrain[node] = false
 		s.noteDrained(node)

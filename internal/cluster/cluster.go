@@ -27,7 +27,6 @@ import (
 	"faasbatch/internal/router"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
-	"faasbatch/internal/workload"
 )
 
 // Balancing selects the dispatcher's routing strategy.
@@ -391,7 +390,7 @@ func (c *Cluster) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Inv
 	c.scheds[idx].Submit(inv, func(done *fnruntime.Invocation) {
 		c.picker.inflight[idx]--
 		if c.scaler != nil {
-			c.scaler.completed(idx, c.eng.Now().Sub(start))
+			c.scaler.completed(idx)
 		}
 		complete(done)
 	})
@@ -514,7 +513,7 @@ func Replay(cfg ReplayConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := specsFor(cfg.Trace)
+	specs, err := trace.SpecsFor(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -545,35 +544,4 @@ func Replay(cfg ReplayConfig) (*Result, error) {
 	}
 	res.TotalContainers = cl.TotalContainers()
 	return res, nil
-}
-
-// specsFor maps trace invocations to workload specs (mirrors the
-// single-node experiment harness).
-func specsFor(tr trace.Trace) ([]workload.Spec, error) {
-	specs := make([]workload.Spec, tr.Len())
-	fib := map[int]workload.Spec{}
-	io := map[string]workload.Spec{}
-	for i, inv := range tr.Invocations {
-		if inv.FibN > 0 {
-			s, ok := fib[inv.FibN]
-			if !ok {
-				var err error
-				s, err = workload.FibSpec(inv.FibN)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: invocation %d: %w", i, err)
-				}
-				fib[inv.FibN] = s
-			}
-			s.Name = inv.Fn
-			specs[i] = s
-			continue
-		}
-		s, ok := io[inv.Fn]
-		if !ok {
-			s = workload.IOSpec(inv.Fn)
-			io[inv.Fn] = s
-		}
-		specs[i] = s
-	}
-	return specs, nil
 }

@@ -201,13 +201,13 @@ func TestImbalanceEdgeCases(t *testing.T) {
 
 func TestSpecsForRejectsBadFib(t *testing.T) {
 	tr := trace.Trace{Invocations: []trace.Invocation{{Fn: "f", FibN: 5}}}
-	if _, err := specsFor(tr); err == nil {
+	if _, err := trace.SpecsFor(tr); err == nil {
 		t.Fatal("invalid fib N accepted")
 	}
 	ok := trace.Trace{Invocations: []trace.Invocation{{Fn: "s3"}}}
-	specs, err := specsFor(ok)
+	specs, err := trace.SpecsFor(ok)
 	if err != nil {
-		t.Fatalf("specsFor: %v", err)
+		t.Fatalf("SpecsFor: %v", err)
 	}
 	if specs[0].Kind != workload.IO {
 		t.Fatalf("spec kind = %v, want IO", specs[0].Kind)

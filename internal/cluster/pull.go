@@ -46,7 +46,6 @@ type pullDriver struct {
 type pendingPull struct {
 	inv      *fnruntime.Invocation
 	complete func(*fnruntime.Invocation)
-	start    sim.Time
 }
 
 // initPull wires the pull scheduler over the fleet. Called before
@@ -79,7 +78,7 @@ func (d *pullDriver) submit(inv *fnruntime.Invocation, complete func(*fnruntime.
 	d.nextID++
 	id := d.nextID
 	off := start.Duration()
-	d.pending[id] = &pendingPull{inv: inv, complete: complete, start: start}
+	d.pending[id] = &pendingPull{inv: inv, complete: complete}
 	d.event(PullEvent{Kind: "enqueue", ID: id, Fn: inv.Spec.Name, Worker: -1, Off: off})
 	gs, shed := d.core.Enqueue(id, inv.Spec.Name, off)
 	if shed {
@@ -107,7 +106,7 @@ func (d *pullDriver) dispatch(gs []pullsched.Grant) {
 		d.c.scheds[w].Submit(p.inv, func(done *fnruntime.Invocation) {
 			d.c.picker.inflight[w]--
 			if d.c.scaler != nil {
-				d.c.scaler.completed(w, d.c.eng.Now().Sub(p.start))
+				d.c.scaler.completed(w)
 			}
 			off := d.c.eng.Now().Duration()
 			d.event(PullEvent{Kind: "complete", ID: id, Fn: done.Spec.Name, Worker: w, Off: off})

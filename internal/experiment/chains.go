@@ -118,7 +118,7 @@ func RunChain(cfg ChainConfig) (*ChainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := SpecsFor(base.Trace)
+	specs, err := trace.SpecsFor(base.Trace)
 	if err != nil {
 		return nil, err
 	}

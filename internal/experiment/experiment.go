@@ -22,7 +22,6 @@ import (
 	"faasbatch/internal/policy"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
-	"faasbatch/internal/workload"
 )
 
 // PolicyKind selects the scheduler under test.
@@ -265,7 +264,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Policy: sched.Name(), Interval: cfg.Interval}
 	total := cfg.Trace.Len()
-	specs, err := SpecsFor(cfg.Trace)
+	specs, err := trace.SpecsFor(cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +297,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Evictions = nd.Evictions()
 	res.AvgMemBytes = sampler.AvgMemBytes()
 	res.PeakMemBytes = sampler.PeakMemBytes()
-	res.CPUUtil = cpuUtil(res.Samples, nd.Config().Cores)
+	res.CPUUtil = sampler.AvgCPUUtil(nd.Config().Cores)
 	res.ClientBytesAllocated = nd.ClientBytesAllocated()
 	if total > 0 {
 		res.ClientMemPerInvocation = float64(nd.ClientBytesAllocated()) / float64(total)
@@ -392,52 +391,6 @@ func krakenMaxBatchFor(tr trace.Trace) int {
 		return 5
 	}
 	return 30
-}
-
-// cpuUtil computes mean utilisation from the sampled busy integral.
-func cpuUtil(samples []metrics.Sample, cores float64) float64 {
-	if len(samples) < 2 || cores <= 0 {
-		return 0
-	}
-	first, last := samples[0], samples[len(samples)-1]
-	span := last.T.Sub(first.T).Seconds()
-	if span <= 0 {
-		return 0
-	}
-	return (last.BusyCoreSeconds - first.BusyCoreSeconds) / (span * cores)
-}
-
-// SpecsFor maps trace invocations to function specs: fib(N) entries become
-// CPU-intensive specs, the rest I/O specs.
-func SpecsFor(tr trace.Trace) ([]workload.Spec, error) {
-	specs := make([]workload.Spec, tr.Len())
-	fibCache := map[int]workload.Spec{}
-	ioCache := map[string]workload.Spec{}
-	for i, inv := range tr.Invocations {
-		if inv.FibN > 0 {
-			s, ok := fibCache[inv.FibN]
-			if !ok {
-				var err error
-				s, err = workload.FibSpec(inv.FibN)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: invocation %d: %w", i, err)
-				}
-				fibCache[inv.FibN] = s
-			}
-			// Group by the trace's function identity (one deployed "fib"
-			// function with varying N), not by input value.
-			s.Name = inv.Fn
-			specs[i] = s
-			continue
-		}
-		s, ok := ioCache[inv.Fn]
-		if !ok {
-			s = workload.IOSpec(inv.Fn)
-			ioCache[inv.Fn] = s
-		}
-		specs[i] = s
-	}
-	return specs, nil
 }
 
 // SLOFromVanilla runs the trace under Vanilla and returns each function's

@@ -267,7 +267,7 @@ func TestSpecsFor(t *testing.T) {
 		{Fn: "fib", FibN: 25},
 		{Fn: "s3func"},
 	}}
-	specs, err := SpecsFor(tr)
+	specs, err := trace.SpecsFor(tr)
 	if err != nil {
 		t.Fatalf("SpecsFor: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestSpecsFor(t *testing.T) {
 		t.Errorf("spec 1 = %+v", specs[1])
 	}
 	bad := trace.Trace{Invocations: []trace.Invocation{{Fn: "fib", FibN: 5}}}
-	if _, err := SpecsFor(bad); err == nil {
+	if _, err := trace.SpecsFor(bad); err == nil {
 		t.Error("invalid fib N accepted")
 	}
 }

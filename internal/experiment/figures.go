@@ -8,6 +8,7 @@ import (
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
+	"faasbatch/internal/obs"
 	"faasbatch/internal/sim"
 	"faasbatch/internal/trace"
 	"faasbatch/internal/workload"
@@ -295,7 +296,15 @@ func RunFig5(w io.Writer, opts Options) error {
 func RunFig9(w io.Writer, opts Options) error {
 	n := opts.scaled(1_980_951 / 10) // a tenth of the trace is ample
 	gen := workload.NewGenerator(opts.Seed)
-	hist, err := metrics.NewHistogram(workload.DurationBucketBounds)
+	// The paper's buckets are [lo, hi) over lower bounds; the histogram
+	// takes upper bounds. No fib duration sits exactly on a bound, so
+	// both edge conventions count alike.
+	lower := workload.DurationBucketBounds
+	upper := make([]float64, len(lower)-1)
+	for i, b := range lower[1:] {
+		upper[i] = float64(b)
+	}
+	hist, err := obs.NewHistogram(upper)
 	if err != nil {
 		return err
 	}
@@ -304,13 +313,17 @@ func RunFig9(w io.Writer, opts Options) error {
 		if err != nil {
 			return err
 		}
-		hist.Add(d)
+		hist.Observe(float64(d))
 	}
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Fig. 9 — function duration distribution (%d generated invocations)", n),
 		"duration range", "paper", "generated")
-	for i, f := range hist.Fractions() {
-		tbl.AddRow(hist.BucketLabel(i), workload.DurationBucketWeights[i], f)
+	for i, c := range hist.Buckets() {
+		label := fmt.Sprintf("[%v, inf)", lower[i])
+		if i+1 < len(lower) {
+			label = fmt.Sprintf("[%v, %v)", lower[i], lower[i+1])
+		}
+		tbl.AddRow(label, workload.DurationBucketWeights[i], float64(c)/float64(hist.Count()))
 	}
 	return tbl.Render(w)
 }

@@ -207,7 +207,7 @@ func TestHistogramMergeProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if merged.Count() != union.Count() {
+		if union.Count() != uint64(len(raw)) || merged.Count() != union.Count() {
 			return false
 		}
 		wantBuckets, gotBuckets := union.Buckets(), merged.Buckets()

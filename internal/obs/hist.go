@@ -22,13 +22,15 @@ var DefaultGroupSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Histogram is a fixed-bucket histogram in the Prometheus style: one
 // counter per upper bound plus an implicit +Inf bucket, a running sum and
-// a total count. It is not safe for concurrent use; Metrics serialises
-// access for the platform.
+// a total count. Counts are floats so the histogram can decay
+// exponentially (Decay); without decay they stay exact integers. It is
+// not safe for concurrent use; Metrics serialises access for the
+// platform.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf is implicit
-	counts []uint64  // len(bounds)+1, the last is the +Inf bucket
+	counts []float64 // len(bounds)+1, the last is the +Inf bucket
 	sum    float64
-	count  uint64
+	total  float64
 }
 
 // NewHistogram builds a histogram with the given ascending upper bounds.
@@ -41,9 +43,14 @@ func NewHistogram(bounds []float64) (*Histogram, error) {
 			return nil, fmt.Errorf("obs: histogram bounds must be strictly increasing at index %d", i)
 		}
 	}
+	return newHistogram(bounds), nil
+}
+
+// newHistogram builds a histogram over bounds already known to be valid.
+func newHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{bounds: b, counts: make([]uint64, len(bounds)+1)}, nil
+	return &Histogram{bounds: b, counts: make([]float64, len(bounds)+1)}
 }
 
 // Observe counts one value.
@@ -51,11 +58,43 @@ func (h *Histogram) Observe(v float64) {
 	idx := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[idx]++
 	h.sum += v
-	h.count++
+	h.total++
 }
 
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
+// Decay multiplies every bucket and the sum by f in (0, 1], so old
+// observations fade; the quantiles stay where they were.
+func (h *Histogram) Decay(f float64) {
+	h.sum *= f
+	h.total = 0
+	for i := range h.counts {
+		h.counts[i] *= f
+		h.total += h.counts[i]
+	}
+}
+
+// Quantile returns the upper bound of the bucket where the cumulative
+// count first reaches q*total (the +Inf tail reports the last finite
+// bound). It reports 0 on an empty histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.total <= 0 {
+		return 0
+	}
+	target := q * h.total
+	cum := 0.0
+	for i, c := range h.counts {
+		cum += c
+		if cum >= target {
+			if i < len(h.bounds) {
+				return h.bounds[i]
+			}
+			return h.bounds[len(h.bounds)-1]
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// Count reports the number of observations (truncated after Decay).
+func (h *Histogram) Count() uint64 { return uint64(h.total) }
 
 // Sum reports the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum }
@@ -64,10 +103,10 @@ func (h *Histogram) Sum() float64 { return h.sum }
 // trailing +Inf bucket (which equals Count).
 func (h *Histogram) Cumulative() []uint64 {
 	out := make([]uint64, len(h.counts))
-	var acc uint64
+	acc := 0.0
 	for i, c := range h.counts {
 		acc += c
-		out[i] = acc
+		out[i] = uint64(acc)
 	}
 	return out
 }
@@ -79,11 +118,13 @@ func (h *Histogram) Bounds() []float64 {
 	return out
 }
 
-// Buckets returns a copy of the raw (non-cumulative) bucket counts, one
-// per bound plus the trailing +Inf bucket.
+// Buckets returns the raw (non-cumulative) bucket counts, one per bound
+// plus the trailing +Inf bucket (truncated after Decay).
 func (h *Histogram) Buckets() []uint64 {
 	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
+	for i, c := range h.counts {
+		out[i] = uint64(c)
+	}
 	return out
 }
 
@@ -107,7 +148,7 @@ func (h *Histogram) Merge(other *Histogram) error {
 		h.counts[i] += other.counts[i]
 	}
 	h.sum += other.sum
-	h.count += other.count
+	h.total += other.total
 	return nil
 }
 
@@ -121,23 +162,25 @@ type latencyKey struct {
 // per-component latency and the batch group size. It is safe for
 // concurrent use.
 type Metrics struct {
-	mu         sync.Mutex
-	latBounds  []float64
-	lat        map[latencyKey]*Histogram
-	fwd        map[string]*Histogram // per-worker forward latency (router)
-	groupSize  *Histogram
-	histErrors int // defensive: construction failures (never with the defaults)
+	mu        sync.Mutex
+	lat       map[latencyKey]*Histogram
+	fwd       map[string]*Histogram // per-worker forward latency (router)
+	groupSize *Histogram
 }
 
-// NewMetrics builds a registry with the default buckets.
+// NewMetrics builds a registry with the default buckets. Both default
+// bound sets are validated here, once, so series created later cannot
+// fail.
 func NewMetrics() *Metrics {
 	gs, err := NewHistogram(DefaultGroupSizeBuckets)
+	if err == nil {
+		_, err = NewHistogram(DefaultLatencyBuckets)
+	}
 	if err != nil {
 		// The default bounds are valid by construction.
 		panic(err)
 	}
 	return &Metrics{
-		latBounds: DefaultLatencyBuckets,
 		lat:       make(map[latencyKey]*Histogram),
 		fwd:       make(map[string]*Histogram),
 		groupSize: gs,
@@ -155,12 +198,7 @@ func (m *Metrics) ObserveLatency(fn, component string, d time.Duration) {
 	key := latencyKey{Fn: fn, Component: component}
 	h, ok := m.lat[key]
 	if !ok {
-		var err error
-		h, err = NewHistogram(m.latBounds)
-		if err != nil {
-			m.histErrors++
-			return
-		}
+		h = newHistogram(DefaultLatencyBuckets)
 		m.lat[key] = h
 	}
 	h.Observe(d.Seconds())
@@ -177,12 +215,7 @@ func (m *Metrics) ObserveForward(worker string, d time.Duration) {
 	defer m.mu.Unlock()
 	h, ok := m.fwd[worker]
 	if !ok {
-		var err error
-		h, err = NewHistogram(m.latBounds)
-		if err != nil {
-			m.histErrors++
-			return
-		}
+		h = newHistogram(DefaultLatencyBuckets)
 		m.fwd[worker] = h
 	}
 	h.Observe(d.Seconds())
@@ -220,7 +253,7 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 	}
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum[len(cum)-1])
 	fmt.Fprintf(w, "%s_sum%s %s\n", name, sumLabels, strconv.FormatFloat(h.sum, 'g', -1, 64))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, sumLabels, h.count)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sumLabels, h.Count())
 }
 
 // WritePrometheus renders every histogram in the Prometheus text

@@ -40,6 +40,37 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+func TestHistogramQuantile(t *testing.T) {
+	h, err := NewHistogram([]float64{1, 10, 100})
+	if err != nil {
+		t.Fatalf("NewHistogram: %v", err)
+	}
+	if h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram quantile must be 0")
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(0.5) // bucket ≤1
+	}
+	h.Observe(50) // bucket ≤100
+	if got := h.Quantile(0.5); got != 1 {
+		t.Fatalf("p50 = %v, want 1", got)
+	}
+	if got := h.Quantile(0.95); got != 100 {
+		t.Fatalf("p95 = %v, want 100", got)
+	}
+	h.Observe(1e9) // +Inf tail reports the last finite bound
+	if got := h.Quantile(1); got != 100 {
+		t.Fatalf("p100 with overflow = %v, want 100", got)
+	}
+	h.Decay(0.5)
+	if b := h.Buckets(); b[0] != 5 || h.Count() != 6 {
+		t.Fatalf("decay: buckets=%v count=%d, want 5 in the first bucket of 6", b, h.Count())
+	}
+	if got := h.Quantile(0.5); got != 1 {
+		t.Fatalf("p50 after decay = %v, want 1 (decay keeps quantiles)", got)
+	}
+}
+
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.ObserveLatency("f", SpanExecution, time.Second)

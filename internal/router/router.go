@@ -645,9 +645,6 @@ func (rt *Router) tryWorker(ctx context.Context, trace uint64, attempt int, id, 
 	}
 	defer func() { _ = resp.Body.Close() }()
 	rt.metrics.ObserveForward(id, time.Since(start))
-	if rt.scaler != nil {
-		rt.scaler.observeLatency(time.Since(start))
-	}
 	rt.mu.Lock()
 	rt.stats.Forwarded++
 	rt.mu.Unlock()

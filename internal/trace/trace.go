@@ -300,3 +300,36 @@ func MinuteCounts(t Trace, fn string) []int {
 	}
 	return counts
 }
+
+// SpecsFor maps trace invocations to function specs: fib(N) entries become
+// CPU-intensive specs, the rest I/O specs.
+func SpecsFor(tr Trace) ([]workload.Spec, error) {
+	specs := make([]workload.Spec, tr.Len())
+	fibCache := map[int]workload.Spec{}
+	ioCache := map[string]workload.Spec{}
+	for i, inv := range tr.Invocations {
+		if inv.FibN > 0 {
+			s, ok := fibCache[inv.FibN]
+			if !ok {
+				var err error
+				s, err = workload.FibSpec(inv.FibN)
+				if err != nil {
+					return nil, fmt.Errorf("trace: invocation %d: %w", i, err)
+				}
+				fibCache[inv.FibN] = s
+			}
+			// Group by the trace's function identity (one deployed "fib"
+			// function with varying N), not by input value.
+			s.Name = inv.Fn
+			specs[i] = s
+			continue
+		}
+		s, ok := ioCache[inv.Fn]
+		if !ok {
+			s = workload.IOSpec(inv.Fn)
+			ioCache[inv.Fn] = s
+		}
+		specs[i] = s
+	}
+	return specs, nil
+}
