@@ -64,7 +64,7 @@ func run(args []string) error {
 	interval := fs.Duration("interval", 200*time.Millisecond, "dispatch interval (faasbatch mode)")
 	adaptive := fs.Bool("adaptive", false, "adaptive dispatch windows: size per-function windows from the arrival rate, capped at -interval")
 	minInterval := fs.Duration("min-interval", 0, "adaptive window floor (0 = platform default)")
-	maxGroup := fs.Int("max-group", 0, "early-close an adaptive window at this group size (0 = no cap)")
+	maxGroup := fs.Int("max-group", 0, "early-close a dispatch window, fixed or adaptive, at this group size (0 = no cap)")
 	coldStart := fs.Duration("coldstart", 100*time.Millisecond, "simulated container boot time")
 	keepAlive := fs.Duration("keepalive", 2*time.Minute, "idle container keep-alive")
 	noMux := fs.Bool("no-multiplex", false, "disable the Resource Multiplexer")

@@ -336,3 +336,35 @@ func TestPrewarmForgetsIdleFunctions(t *testing.T) {
 		t.Fatalf("idle prewarming kept creating: %d -> %d", created, env.Node.TotalCreated())
 	}
 }
+
+// TestFixedWindowEarlyClose: MaxGroupSize early-closes a fixed window
+// too. Four calls land early in a 200ms window capped at four; the group
+// dispatches at the fourth arrival instead of waiting for the tick.
+func TestFixedWindowEarlyClose(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxGroupSize = 4
+	env := testEnv(t)
+	f := newScheduler(t, env, cfg)
+	const n = 4
+	specs := make([]workload.Spec, n)
+	offsets := make([]time.Duration, n)
+	for i := range specs {
+		specs[i] = workload.IOSpec("s3func")
+		offsets[i] = time.Duration(10+i) * time.Millisecond
+	}
+	recs := runAll(t, env, f, specs, offsets)
+	for _, r := range recs {
+		// Window wait (at most 3ms) plus the batch HTTP hop; the tick
+		// would have held the first call for 190ms.
+		if r.Sched > 5*time.Millisecond {
+			t.Fatalf("call %d Sched = %v, want the group dispatched at the 4th arrival", r.ID, r.Sched)
+		}
+	}
+	st := f.Stats()
+	if st.Groups != 1 || st.EarlyCloses != 1 {
+		t.Fatalf("Groups = %d, EarlyCloses = %d, want 1/1", st.Groups, st.EarlyCloses)
+	}
+	if st.WindowDispatches != 0 || st.FastPathDispatches != 0 {
+		t.Fatalf("WindowDispatches = %d, FastPathDispatches = %d, want 0/0 in fixed mode", st.WindowDispatches, st.FastPathDispatches)
+	}
+}

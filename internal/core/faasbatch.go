@@ -72,30 +72,24 @@ type Config struct {
 	// invocation that exhausts the budget completes with Rec.Failed set —
 	// at-most-(1+MaxRetries) execution attempts, never silent loss.
 	MaxRetries int
-	// AdaptiveDispatch replaces the fixed Invoke Mapper interval with the
-	// load-aware controller (internal/dispatch): lone arrivals with no
-	// batching opportunity dispatch immediately, an EWMA arrival-rate
-	// tracker sizes each function's window within
-	// [MinInterval, MaxInterval], and a window whose group reaches
-	// MaxGroupSize closes early. Off by default — the fixed Interval
-	// remains the paper's behaviour.
+	// AdaptiveDispatch switches the dispatch controller
+	// (internal/dispatch) from the paper's fixed Interval to its
+	// load-aware mode: lone arrivals with no batching opportunity
+	// dispatch immediately, and an EWMA arrival-rate tracker sizes each
+	// function's window within [MinInterval, MaxInterval]. Off by
+	// default — the fixed Interval remains the paper's behaviour.
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor (AdaptiveDispatch only).
-	// Zero selects DefaultMinInterval.
+	// Zero selects dispatch.DefaultMinInterval.
 	MinInterval time.Duration
 	// MaxInterval is the adaptive window cap (AdaptiveDispatch only).
 	// Zero selects Interval, so adaptive mode never batches more coarsely
 	// than the fixed configuration it replaces.
 	MaxInterval time.Duration
-	// MaxGroupSize early-closes an adaptive window whose group reached
-	// this many invocations (AdaptiveDispatch only; 0 means no cap).
+	// MaxGroupSize closes a window early, fixed or adaptive, once its
+	// group reached this many invocations (0 means no cap).
 	MaxGroupSize int
 }
-
-// DefaultMinInterval is the adaptive window floor when none is set: small
-// enough that sparse traffic sees near-immediate dispatch, large enough
-// that same-instant arrivals still fold into one group.
-const DefaultMinInterval = 5 * time.Millisecond
 
 // DefaultConfig returns the paper's defaults.
 func DefaultConfig() Config {
@@ -134,11 +128,11 @@ type Stats struct {
 	// FastPathDispatches counts lone arrivals dispatched immediately by
 	// the adaptive idle fast-path (AdaptiveDispatch only).
 	FastPathDispatches int64
-	// EarlyCloses counts adaptive windows closed before their deadline
-	// because the group reached MaxGroupSize.
+	// EarlyCloses counts windows, fixed or adaptive, closed before their
+	// deadline because the group reached MaxGroupSize.
 	EarlyCloses int64
 	// WindowDispatches counts adaptive windows that closed at their
-	// deadline.
+	// deadline (fixed windows close on the ticker and are not counted).
 	WindowDispatches int64
 }
 
@@ -166,14 +160,14 @@ type FaaSBatch struct {
 	// lastActive records each function's most recent arrival time
 	// (Prewarm only).
 	lastActive map[string]sim.Time
-	// ticker drives fixed-interval windows; in adaptive mode it exists
-	// only for pre-warming (nil otherwise).
+	// ticker closes fixed windows; in adaptive mode it exists only for
+	// pre-warming (nil otherwise).
 	ticker *sim.Ticker
-	// ctrl sizes per-function windows in adaptive mode (nil when fixed);
-	// windows holds each function's scheduled window-close event and
-	// windowAt its scheduled time (the controller may extend an open
-	// window's deadline as the arrival estimate densifies, which
-	// reschedules the event).
+	// ctrl decides every arrival's window. In adaptive mode windows
+	// holds each function's scheduled window-close event and windowAt
+	// its scheduled time (the controller may extend an open window's
+	// deadline as the arrival estimate densifies, which reschedules the
+	// event).
 	ctrl     *dispatch.Controller
 	windows  map[string]*sim.Event
 	windowAt map[string]sim.Time
@@ -215,16 +209,14 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 	if cfg.MaxRetries < 0 {
 		return nil, fmt.Errorf("core: max retries must be non-negative, got %d", cfg.MaxRetries)
 	}
-	if cfg.AdaptiveDispatch {
-		if cfg.MaxInterval == 0 {
-			cfg.MaxInterval = cfg.Interval
-		}
-		if cfg.MinInterval == 0 {
-			cfg.MinInterval = DefaultMinInterval
-			if cfg.MinInterval > cfg.MaxInterval {
-				cfg.MinInterval = cfg.MaxInterval
-			}
-		}
+	ctrl, err := dispatch.New(dispatch.Config{
+		Fixed:        !cfg.AdaptiveDispatch,
+		MinInterval:  cfg.MinInterval,
+		MaxInterval:  cfg.MaxInterval,
+		MaxGroupSize: cfg.MaxGroupSize,
+	}.WithInterval(cfg.Interval))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	f := &FaaSBatch{
 		env:            env,
@@ -234,31 +226,23 @@ func New(env policy.Env, cfg Config) (*FaaSBatch, error) {
 		pendingCreates: make(map[string]int),
 		attached:       make(map[string][]attachedGroup),
 		lastActive:     make(map[string]sim.Time),
+		ctrl:           ctrl,
+		windows:        make(map[string]*sim.Event),
+		windowAt:       make(map[string]sim.Time),
 	}
+	// The ticker is the fixed-window clock: each tick closes every open
+	// window in name order (see DESIGN.md §11 for why fixed windows do
+	// not get per-function events). Adaptive windows close on their own
+	// events, but pre-warming still needs a cadence to refresh
+	// predictions on.
+	tick := f.dispatchWindow
 	if cfg.AdaptiveDispatch {
-		ctrl, err := dispatch.New(dispatch.Config{
-			MinInterval:  cfg.MinInterval,
-			MaxInterval:  cfg.MaxInterval,
-			MaxGroupSize: cfg.MaxGroupSize,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+		if !cfg.Prewarm {
+			return f, nil
 		}
-		f.ctrl = ctrl
-		f.windows = make(map[string]*sim.Event)
-		f.windowAt = make(map[string]sim.Time)
-		if cfg.Prewarm {
-			// Per-function window events replace the global tick, but
-			// pre-warming still needs a cadence to refresh predictions on.
-			t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { f.prewarm() })
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			f.ticker = t
-		}
-		return f, nil
+		tick = f.prewarm
 	}
-	t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { f.dispatchWindow() })
+	t, err := sim.NewTicker(env.Eng, cfg.Interval, func(sim.Time) { tick() })
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -273,10 +257,10 @@ func (f *FaaSBatch) Name() string { return "faasbatch" }
 func (f *FaaSBatch) Stats() Stats { return f.stats }
 
 // Submit implements policy.Scheduler: the Invoke Mapper appends the
-// invocation to its function's group for the current window. In adaptive
-// mode the dispatch controller decides whether the arrival dispatches
-// immediately (idle fast-path, early close) or waits for its function's
-// load-sized window.
+// invocation to its function's group for the current window. The
+// dispatch controller decides whether the arrival dispatches immediately
+// (adaptive idle fast-path, early close) or waits for its function's
+// window.
 func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.Invocation)) {
 	f.stats.Submitted++
 	fn := inv.Spec.Name
@@ -284,14 +268,12 @@ func (f *FaaSBatch) Submit(inv *fnruntime.Invocation, complete func(*fnruntime.I
 		f.lastActive[fn] = f.env.Eng.Now()
 	}
 	item := &pendingItem{inv: inv, complete: complete}
-	if !f.cfg.AdaptiveDispatch {
-		f.pending[fn] = append(f.pending[fn], item)
-		return
-	}
 	// The arrival is idle (no batching opportunity) when nothing of its
 	// function waits, executes or boots: a window would hold it for
-	// nothing unless the arrival process says company is coming.
-	idle := len(f.pending[fn]) == 0 && f.busyContainer(fn) == nil && f.pendingCreates[fn] == 0
+	// nothing unless the arrival process says company is coming. Only
+	// adaptive mode asks: busyContainer prunes owned, which changes the
+	// busy container a later group joins.
+	idle := f.cfg.AdaptiveDispatch && len(f.pending[fn]) == 0 && f.busyContainer(fn) == nil && f.pendingCreates[fn] == 0
 	f.pending[fn] = append(f.pending[fn], item)
 	f.applyDecision(fn, f.ctrl.Arrive(fn, f.env.Eng.Now().Duration(), idle))
 }
@@ -306,6 +288,9 @@ func (f *FaaSBatch) applyDecision(fn string, d dispatch.Decision) {
 		f.stats.EarlyCloses++
 		f.closeNow(fn)
 	case dispatch.ActionWait:
+		if !f.cfg.AdaptiveDispatch {
+			return // the ticker closes fixed windows
+		}
 		at := sim.Time(d.Deadline)
 		if ev, open := f.windows[fn]; open {
 			if f.windowAt[fn] == at {
@@ -368,8 +353,9 @@ func (f *FaaSBatch) Close() error {
 	return nil
 }
 
-// dispatchWindow closes the current window: every function group gathered
-// by the Invoke Mapper is handed to the Inline-Parallel Producer.
+// dispatchWindow closes every open window (the fixed-window tick, and the
+// final flush at Close): every function group gathered by the Invoke
+// Mapper is handed to the Inline-Parallel Producer.
 func (f *FaaSBatch) dispatchWindow() {
 	if f.cfg.Prewarm {
 		f.prewarm()
@@ -386,9 +372,7 @@ func (f *FaaSBatch) dispatchWindow() {
 	for _, fn := range fns {
 		group := f.pending[fn]
 		delete(f.pending, fn)
-		if f.ctrl != nil {
-			f.ctrl.WindowClosed(fn)
-		}
+		f.ctrl.WindowClosed(fn)
 		f.dispatchGroup(fn, group)
 	}
 }
@@ -611,10 +595,10 @@ func (f *FaaSBatch) retryItem(item *pendingItem) {
 	// completed + failed must hold at quiescence).
 	fn := inv.Spec.Name
 	f.pending[fn] = append(f.pending[fn], item)
-	if f.cfg.AdaptiveDispatch && !f.closed {
+	if !f.closed {
 		// A retry must ride a window like any pending call, but must not
-		// skew the arrival-rate estimate: EnsureOpen arms a window-close
-		// event without observing an arrival.
+		// skew the arrival-rate estimate: EnsureOpen opens a window
+		// without observing an arrival.
 		f.applyDecision(fn, f.ctrl.EnsureOpen(fn, f.env.Eng.Now().Duration()))
 	}
 }

@@ -1,12 +1,14 @@
-// Package dispatch implements the adaptive Invoke Mapper window
-// controller shared by the simulator (internal/core) and the live
-// platform (internal/platform).
+// Package dispatch implements the Invoke Mapper window controller shared
+// by the simulator (internal/core) and the live platform
+// (internal/platform).
 //
-// The paper fixes the dispatch interval at 0.2 s; its own interval sweep
-// (Fig. 11) shows the choice is workload-sensitive. The controller keeps
-// the paper's grouping semantics — all requests for one function inside
-// one window form a single batch — but sizes the window per function from
-// the observed arrival process:
+// The controller has two modes. Fixed mode is the paper's Invoke Mapper
+// (§III-B): every window is MaxInterval long and closes on the interval
+// grid, so all requests for one function inside one interval form a
+// single batch. The paper fixes the interval at 0.2 s, but its own sweep
+// (Fig. 11) shows the choice is workload-sensitive, so the default
+// adaptive mode keeps the grouping semantics and sizes the window per
+// function from the observed arrival process:
 //
 //   - Idle fast-path: a lone arrival with no batching opportunity (no
 //     busy container of that function, nothing pending, arrivals sparse)
@@ -16,14 +18,16 @@
 //     many further arrivals a window could fold. Sparse traffic shrinks
 //     the window toward MinInterval; dense traffic grows it toward
 //     MaxInterval, where grouping pays exactly as in the paper.
-//   - Early close: a window whose group already reached MaxGroupSize
-//     closes at once — further waiting cannot improve the batch.
+//
+// In both modes a window whose group already reached MaxGroupSize closes
+// at once — further waiting cannot improve the batch.
 //
 // The controller is clock-agnostic: callers feed monotonic offsets
 // (time.Duration since an arbitrary epoch). The discrete-event simulator
 // passes virtual time and the live platform passes wall-clock offsets,
 // so both drive the identical state machine — the sim-vs-live conformance
-// test in dispatch_test.go depends on that.
+// test in dispatch_test.go depends on that. The epoch also anchors the
+// fixed-mode grid.
 //
 // Controller is not safe for concurrent use; callers serialise access
 // (the sim engine is single-threaded, the live platform holds its mutex).
@@ -36,10 +40,15 @@ import (
 	"faasbatch/internal/policy"
 )
 
-// DefaultAlpha is the EWMA smoothing factor for inter-arrival gaps:
-// heavy enough that a burst's tight gaps dominate within a few arrivals,
-// light enough that one stray gap does not whipsaw the window.
-const DefaultAlpha = 0.3
+// gapAlpha is the EWMA smoothing factor for inter-arrival gaps: heavy
+// enough that a burst's tight gaps dominate within a few arrivals, light
+// enough that one stray gap does not whipsaw the window.
+const gapAlpha = 0.3
+
+// DefaultMinInterval is the adaptive window floor when none is set: small
+// enough that sparse traffic sees near-immediate dispatch, large enough
+// that same-instant arrivals still fold into one group.
+const DefaultMinInterval = 5 * time.Millisecond
 
 // idleResetFactor scales MaxInterval into the idle-reset threshold: a
 // gap longer than idleResetFactor windows is a restarted arrival stream
@@ -54,20 +63,42 @@ const idleResetFactor = 8
 
 // Config parameterises a Controller.
 type Config struct {
+	// Fixed selects the paper's fixed-interval mode: every window is
+	// MaxInterval long and closes at the next multiple of MaxInterval
+	// after its first arrival, with no fast path and no arrival-rate
+	// tracking. MinInterval is ignored. False selects adaptive mode.
+	Fixed bool
 	// MinInterval is the floor of the adaptive window: the shortest a
 	// per-function window may shrink when arrivals are sparse. It must
 	// be non-negative (zero means a window may close immediately).
 	MinInterval time.Duration
 	// MaxInterval is the cap of the adaptive window — typically the
 	// paper's fixed interval, so adaptive mode never batches more
-	// coarsely than the fixed configuration it replaces.
+	// coarsely than the fixed configuration it replaces. In fixed mode
+	// it is the interval.
 	MaxInterval time.Duration
 	// MaxGroupSize early-closes a window whose group reached this many
 	// invocations (<= 0 means no cap).
 	MaxGroupSize int
-	// Alpha is the EWMA smoothing factor in (0, 1]; zero selects
-	// DefaultAlpha.
-	Alpha float64
+}
+
+// WithInterval resolves c's window bounds against a caller's dispatch
+// interval. In fixed mode both bounds are the interval. In adaptive mode
+// a zero MaxInterval takes the interval, so switching adaptive dispatch
+// on never batches more coarsely than the fixed configuration, and a
+// zero MinInterval takes DefaultMinInterval, clamped to MaxInterval.
+func (c Config) WithInterval(interval time.Duration) Config {
+	if c.Fixed {
+		c.MinInterval, c.MaxInterval = interval, interval
+		return c
+	}
+	if c.MaxInterval == 0 {
+		c.MaxInterval = interval
+	}
+	if c.MinInterval == 0 {
+		c.MinInterval = min(DefaultMinInterval, c.MaxInterval)
+	}
+	return c
 }
 
 // Validate checks the configuration.
@@ -80,9 +111,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxInterval < c.MinInterval {
 		return fmt.Errorf("dispatch: max interval %v below min interval %v", c.MaxInterval, c.MinInterval)
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("dispatch: alpha must be in (0, 1] or zero for the default, got %v", c.Alpha)
 	}
 	return nil
 }
@@ -125,14 +153,15 @@ type Decision struct {
 	// Deadline is the absolute offset at which the open window closes
 	// (meaningful for ActionWait). Arrivals joining an already-open
 	// window see its original deadline: the window is anchored at the
-	// group's first arrival, as in the paper.
+	// group's first arrival (adaptive mode) or at the interval grid
+	// (fixed mode).
 	Deadline time.Duration
 	// Window is the interval the controller chose for this function at
 	// this arrival — the gauge the metrics surface exports.
 	Window time.Duration
 }
 
-// fnState is one function's adaptive window state.
+// fnState is one function's window state.
 type fnState struct {
 	// gap smooths inter-arrival gaps (in seconds).
 	gap *policy.EWMA
@@ -146,7 +175,8 @@ type fnState struct {
 	open       bool
 	groupStart time.Duration
 	deadline   time.Duration
-	// window is the most recently chosen interval.
+	// window is the interval chosen at the latest arrival (at creation,
+	// the unprimed choice).
 	window time.Duration
 }
 
@@ -162,8 +192,8 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
+	if cfg.Fixed {
+		cfg.MinInterval = cfg.MaxInterval
 	}
 	return &Controller{cfg: cfg, fns: make(map[string]*fnState)}, nil
 }
@@ -172,12 +202,13 @@ func New(cfg Config) (*Controller, error) {
 func (c *Controller) state(fn string) *fnState {
 	st, ok := c.fns[fn]
 	if !ok {
-		ewma, err := policy.NewEWMA(c.cfg.Alpha)
+		ewma, err := policy.NewEWMA(gapAlpha)
 		if err != nil {
-			// Unreachable: New validated alpha.
+			// Unreachable: gapAlpha is a valid constant.
 			panic(err)
 		}
 		st = &fnState{gap: ewma}
+		st.window = c.window(st)
 		c.fns[fn] = st
 	}
 	return st
@@ -188,7 +219,8 @@ func (c *Controller) state(fn string) *fnState {
 // window interpolates Min + (Max-Min)·n/(n+1): sparse traffic (n → 0)
 // collapses to MinInterval, dense traffic (n → ∞) saturates at
 // MaxInterval. The mapping is monotone in the arrival rate — the
-// property test in dispatch_test.go proves it.
+// property test in dispatch_test.go proves it. In fixed mode both bounds
+// are the interval, so every window is the interval.
 func (c *Controller) window(st *fnState) time.Duration {
 	min, max := c.cfg.MinInterval, c.cfg.MaxInterval
 	if !st.gap.Primed() {
@@ -223,11 +255,15 @@ func (c *Controller) sparse(st *fnState) bool {
 
 // Arrive reports one arrival for fn at monotonic offset now. idle is the
 // caller's batching-opportunity signal: true when no container of fn is
-// busy and nothing else of fn waits (the arrival is alone). The returned
-// Decision tells the caller to dispatch now (fast path / early close —
-// the controller has already reset the group) or to hold until Deadline.
+// busy and nothing else of fn waits (the arrival is alone); fixed mode
+// ignores it. The returned Decision tells the caller to dispatch now
+// (fast path / early close — the controller has already reset the group)
+// or to hold until Deadline.
 func (c *Controller) Arrive(fn string, now time.Duration, idle bool) Decision {
 	st := c.state(fn)
+	if c.cfg.Fixed {
+		return c.join(st, now, false)
+	}
 	if st.seen {
 		if gap := now - st.last; gap > time.Duration(idleResetFactor)*c.cfg.MaxInterval {
 			// Idle fast-path reset: the stream restarted after a long
@@ -239,49 +275,51 @@ func (c *Controller) Arrive(fn string, now time.Duration, idle bool) Decision {
 	}
 	st.last = now
 	st.seen = true
-	st.pending++
 	st.window = c.window(st)
-
-	if c.cfg.MaxGroupSize > 0 && st.pending >= c.cfg.MaxGroupSize {
-		st.reset()
-		return Decision{Action: ActionEarlyClose, Window: st.window}
-	}
-	if idle && st.pending == 1 && !st.open && c.sparse(st) {
-		st.reset()
-		return Decision{Action: ActionFastPath, Window: st.window}
-	}
-	if !st.open {
-		st.open = true
-		st.groupStart = now
-		st.deadline = now + st.window
-	} else if d := st.groupStart + st.window; d > st.deadline {
-		// The arrival estimate densified since the window opened (e.g. a
-		// burst arriving after a quiet spell re-primes the EWMA): extend
-		// the deadline so the burst is not fragmented by the stale, short
-		// window chosen at its head. Still anchored at the group's first
-		// arrival, so no group ever waits longer than MaxInterval.
-		st.deadline = d
-	}
-	return Decision{Action: ActionWait, Deadline: st.deadline, Window: st.window}
+	return c.join(st, now, idle && st.pending == 0 && !st.open && c.sparse(st))
 }
 
 // EnsureOpen opens a window for fn (if none is open) without recording an
 // arrival — used when a retry re-batches an old invocation into the next
 // window: the retried call must not skew the arrival-rate estimate, but
-// it does need a window deadline to ride. The returned Decision is always
-// ActionWait.
+// it does need a window deadline to ride. The returned Decision is
+// ActionWait, or ActionEarlyClose when the retry fills the group.
 func (c *Controller) EnsureOpen(fn string, now time.Duration) Decision {
-	st := c.state(fn)
+	return c.join(c.state(fn), now, false)
+}
+
+// join adds one call to st's group. The group early-closes at
+// MaxGroupSize; otherwise a fast-path call dispatches alone, and any
+// other call opens the window if none is open and waits for its
+// deadline.
+func (c *Controller) join(st *fnState, now time.Duration, fastPath bool) Decision {
 	st.pending++
 	if c.cfg.MaxGroupSize > 0 && st.pending >= c.cfg.MaxGroupSize {
 		st.reset()
 		return Decision{Action: ActionEarlyClose, Window: st.window}
 	}
-	if !st.open {
-		st.window = c.window(st)
+	if fastPath {
+		st.reset()
+		return Decision{Action: ActionFastPath, Window: st.window}
+	}
+	switch {
+	case !st.open:
 		st.open = true
 		st.groupStart = now
 		st.deadline = now + st.window
+		if c.cfg.Fixed {
+			// The paper's Invoke Mapper: the window closes at the next
+			// instant of the interval grid, where a ticker started at the
+			// epoch would fire.
+			st.deadline = now - now%st.window + st.window
+		}
+	case !c.cfg.Fixed && st.groupStart+st.window > st.deadline:
+		// The arrival estimate densified since the window opened (e.g. a
+		// burst arriving after a quiet spell re-primes the EWMA): extend
+		// the deadline so the burst is not fragmented by the stale, short
+		// window chosen at its head. Still anchored at the group's first
+		// arrival, so no group ever waits longer than MaxInterval.
+		st.deadline = st.groupStart + st.window
 	}
 	return Decision{Action: ActionWait, Deadline: st.deadline, Window: st.window}
 }
@@ -305,9 +343,10 @@ func (st *fnState) reset() {
 }
 
 // Window reports fn's most recently chosen interval (MinInterval before
-// any arrival): the value behind the dispatch-window gauge.
+// any arrival; the interval in fixed mode): the value behind the
+// dispatch-window gauge.
 func (c *Controller) Window(fn string) time.Duration {
-	if st, ok := c.fns[fn]; ok && st.window > 0 {
+	if st, ok := c.fns[fn]; ok {
 		return st.window
 	}
 	return c.cfg.MinInterval
@@ -337,13 +376,9 @@ func (c *Controller) ExpectedGroup(fn string) int {
 	if !ok || !st.gap.Primed() {
 		return 1
 	}
-	w := st.window
-	if w <= 0 {
-		w = c.window(st)
-	}
 	n := 1
 	if gap := st.gap.Value(); gap > 0 {
-		n = int(w.Seconds()/gap) + 1
+		n = int(st.window.Seconds()/gap) + 1
 	} else {
 		// Same-instant arrivals: maximal density, take the cap.
 		n = expectedGroupCap

@@ -23,8 +23,6 @@ func TestConfigValidation(t *testing.T) {
 		{MinInterval: -1, MaxInterval: time.Second},
 		{MinInterval: 0, MaxInterval: 0},
 		{MinInterval: time.Second, MaxInterval: time.Millisecond},
-		{MinInterval: 0, MaxInterval: time.Second, Alpha: 1.5},
-		{MinInterval: 0, MaxInterval: time.Second, Alpha: -0.1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -298,8 +296,15 @@ func TestPropertyEarlyCloseBoundsGroups(t *testing.T) {
 // the live platform's wall-clock dispatcher does — and requires identical
 // decision sequences. This is the clock-agnostic guarantee: sim and live
 // share one state machine, not two reimplementations.
+//
+// In the fixed case windows also close, each drive its own way: the sim
+// with a ticker (internal/core's fixed-window clock), the manual loop by
+// closing every window whose grid deadline has passed (the platform's
+// deadline loop). The close instants and the decisions after them must
+// agree. Same-instant arrivals precede the close in both drives: the
+// sim's arrivals are scheduled before the ticker exists, and the manual
+// loop closes only deadlines strictly before an arrival.
 func TestSimVsManualConformance(t *testing.T) {
-	cfg := Config{MinInterval: 2 * time.Millisecond, MaxInterval: 150 * time.Millisecond, MaxGroupSize: 6}
 	rng := rand.New(rand.NewSource(42))
 	type arrival struct {
 		fn   string
@@ -313,38 +318,93 @@ func TestSimVsManualConformance(t *testing.T) {
 		now += time.Duration(rng.Intn(30)) * time.Millisecond
 		schedule = append(schedule, arrival{fn: fns[rng.Intn(len(fns))], at: now, idle: rng.Intn(3) == 0})
 	}
+	last := schedule[len(schedule)-1].at
 
 	record := func(d Decision) string {
 		return d.Action.String() + "/" + d.Deadline.String() + "/" + d.Window.String()
 	}
+	closed := func(fn string, at time.Duration) string { return "close/" + fn + "/" + at.String() }
 
-	// Manual (live-style) drive.
-	manual := newController(t, cfg)
-	var manualLog []string
-	for _, a := range schedule {
-		manualLog = append(manualLog, record(manual.Arrive(a.fn, a.at, a.idle)))
-	}
-
-	// Sim drive: schedule each arrival as an engine event.
-	eng := sim.New(1)
-	simCtrl := newController(t, cfg)
-	var simLog []string
-	for _, a := range schedule {
-		a := a
-		eng.ScheduleAt(sim.Time(a.at), func() {
-			d := simCtrl.Arrive(a.fn, eng.Now().Duration(), a.idle)
-			simLog = append(simLog, record(d))
-		})
-	}
-	eng.Run()
-
-	if len(manualLog) != len(simLog) {
-		t.Fatalf("decision counts differ: manual %d, sim %d", len(manualLog), len(simLog))
-	}
-	for i := range manualLog {
-		if manualLog[i] != simLog[i] {
-			t.Fatalf("decision %d diverges: manual %q, sim %q", i, manualLog[i], simLog[i])
+	for _, cfg := range []Config{
+		{MinInterval: 2 * time.Millisecond, MaxInterval: 150 * time.Millisecond, MaxGroupSize: 6},
+		{Fixed: true, MaxInterval: 150 * time.Millisecond, MaxGroupSize: 6},
+	} {
+		name := "adaptive"
+		if cfg.Fixed {
+			name = "fixed"
 		}
+		t.Run(name, func(t *testing.T) {
+			// Manual (live-style) drive.
+			manual := newController(t, cfg)
+			var manualLog []string
+			deadlines := map[string]time.Duration{}
+			closeDue := func(due func(time.Duration) bool) {
+				for len(deadlines) > 0 {
+					next := ""
+					for _, fn := range fns {
+						d, open := deadlines[fn]
+						if open && due(d) && (next == "" || d < deadlines[next]) {
+							next = fn
+						}
+					}
+					if next == "" {
+						return
+					}
+					manualLog = append(manualLog, closed(next, deadlines[next]))
+					manual.WindowClosed(next)
+					delete(deadlines, next)
+				}
+			}
+			for _, a := range schedule {
+				if cfg.Fixed {
+					closeDue(func(d time.Duration) bool { return d < a.at })
+				}
+				d := manual.Arrive(a.fn, a.at, a.idle)
+				manualLog = append(manualLog, record(d))
+				if d.Action == ActionWait {
+					deadlines[a.fn] = d.Deadline
+				} else {
+					delete(deadlines, a.fn)
+				}
+			}
+			if cfg.Fixed {
+				closeDue(func(d time.Duration) bool { return d <= last })
+			}
+
+			// Sim drive: schedule each arrival as an engine event.
+			eng := sim.New(1)
+			simCtrl := newController(t, cfg)
+			var simLog []string
+			for _, a := range schedule {
+				a := a
+				eng.ScheduleAt(sim.Time(a.at), func() {
+					d := simCtrl.Arrive(a.fn, eng.Now().Duration(), a.idle)
+					simLog = append(simLog, record(d))
+				})
+			}
+			if cfg.Fixed {
+				if _, err := sim.NewTicker(eng, cfg.MaxInterval, func(at sim.Time) {
+					for _, fn := range fns {
+						if simCtrl.Pending(fn) > 0 {
+							simLog = append(simLog, closed(fn, at.Duration()))
+							simCtrl.WindowClosed(fn)
+						}
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.RunUntil(sim.Time(last))
+
+			if len(manualLog) != len(simLog) {
+				t.Fatalf("decision counts differ: manual %d, sim %d", len(manualLog), len(simLog))
+			}
+			for i := range manualLog {
+				if manualLog[i] != simLog[i] {
+					t.Fatalf("decision %d diverges: manual %q, sim %q", i, manualLog[i], simLog[i])
+				}
+			}
+		})
 	}
 }
 
@@ -354,5 +414,121 @@ func TestActionString(t *testing.T) {
 	}
 	if Action(9).String() != "action(9)" {
 		t.Fatal("unknown action string wrong")
+	}
+}
+
+// fixedConfig is the paper's fixed mode on a 100ms grid.
+func fixedConfig(maxGroup int) Config {
+	return Config{Fixed: true, MaxInterval: 100 * time.Millisecond, MaxGroupSize: maxGroup}
+}
+
+// TestFixedGridDeadlines: a fixed window closes at the next multiple of
+// the interval after its first arrival, joiners share that deadline, and
+// an arrival exactly on a grid instant opens the window closing one
+// interval later (the window closing at that instant is already due).
+func TestFixedGridDeadlines(t *testing.T) {
+	c := newController(t, fixedConfig(0))
+	ms := time.Millisecond
+	steps := []struct {
+		at, deadline time.Duration
+		close        bool // close the window before this arrival
+	}{
+		{at: 30 * ms, deadline: 100 * ms},
+		{at: 70 * ms, deadline: 100 * ms},
+		{at: 100 * ms, deadline: 200 * ms, close: true}, // on the grid
+		{at: 199 * ms, deadline: 200 * ms},
+		{at: 450 * ms, deadline: 500 * ms, close: true},
+	}
+	for i, s := range steps {
+		if s.close {
+			c.WindowClosed("f")
+		}
+		d := c.Arrive("f", s.at, false)
+		if d.Action != ActionWait || d.Deadline != s.deadline || d.Window != 100*ms {
+			t.Fatalf("step %d (arrival at %v): got %v deadline %v window %v, want wait deadline %v window 100ms",
+				i, s.at, d.Action, d.Deadline, d.Window, s.deadline)
+		}
+	}
+	if got := c.Pending("f"); got != 1 {
+		t.Fatalf("pending = %d, want 1", got)
+	}
+}
+
+// TestFixedNoFastPath: fixed mode has no idle fast path and tracks no
+// arrival rate, so a lone idle arrival on sparse traffic waits for its
+// window and the window never moves off the interval.
+func TestFixedNoFastPath(t *testing.T) {
+	c := newController(t, fixedConfig(0))
+	now := time.Duration(0)
+	for i := 0; i < 10; i++ {
+		d := c.Arrive("f", now, true)
+		if d.Action != ActionWait {
+			t.Fatalf("sparse idle arrival %d: action = %v, want wait", i, d.Action)
+		}
+		c.WindowClosed("f")
+		now += 10 * time.Second
+	}
+	if w := c.Window("f"); w != 100*time.Millisecond {
+		t.Fatalf("window = %v, want the 100ms interval", w)
+	}
+	if n := c.ExpectedGroup("f"); n != 1 {
+		t.Fatalf("ExpectedGroup = %d, want 1 (no rate estimate in fixed mode)", n)
+	}
+}
+
+// TestFixedEnsureOpen: a retry rides the open fixed window, or opens one
+// on the grid when none is open.
+func TestFixedEnsureOpen(t *testing.T) {
+	c := newController(t, fixedConfig(0))
+	open := c.Arrive("f", 30*time.Millisecond, false)
+	if d := c.EnsureOpen("f", 60*time.Millisecond); d.Action != ActionWait || d.Deadline != open.Deadline {
+		t.Fatalf("retry into open window: got %v deadline %v, want wait deadline %v", d.Action, d.Deadline, open.Deadline)
+	}
+	if got := c.Pending("f"); got != 2 {
+		t.Fatalf("pending = %d, want 2", got)
+	}
+	c.WindowClosed("f")
+	if d := c.EnsureOpen("f", 130*time.Millisecond); d.Action != ActionWait || d.Deadline != 200*time.Millisecond {
+		t.Fatalf("retry with no window: got %v deadline %v, want wait deadline 200ms", d.Action, d.Deadline)
+	}
+}
+
+// TestFixedEarlyClose: MaxGroupSize closes a fixed window before its
+// grid deadline, and the next arrival opens a fresh grid window.
+func TestFixedEarlyClose(t *testing.T) {
+	c := newController(t, fixedConfig(3))
+	for i, at := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond} {
+		if d := c.Arrive("f", at, false); d.Action != ActionWait {
+			t.Fatalf("arrival %d: action = %v, want wait", i, d.Action)
+		}
+	}
+	if d := c.EnsureOpen("f", 25*time.Millisecond); d.Action != ActionEarlyClose {
+		t.Fatalf("3rd call: action = %v, want early-close", d.Action)
+	}
+	if got := c.Pending("f"); got != 0 {
+		t.Fatalf("pending = %d after early close, want 0", got)
+	}
+	if d := c.Arrive("f", 40*time.Millisecond, false); d.Action != ActionWait || d.Deadline != 100*time.Millisecond {
+		t.Fatalf("next arrival: got %v deadline %v, want wait deadline 100ms", d.Action, d.Deadline)
+	}
+}
+
+// TestWithInterval: fixed mode takes the interval for both bounds;
+// adaptive mode fills only the zero bounds, clamping the default floor
+// to the cap.
+func TestWithInterval(t *testing.T) {
+	iv := 200 * time.Millisecond
+	cases := []struct {
+		in, want Config
+	}{
+		{Config{Fixed: true, MinInterval: time.Millisecond, MaxInterval: time.Second}, Config{Fixed: true, MinInterval: iv, MaxInterval: iv}},
+		{Config{}, Config{MinInterval: DefaultMinInterval, MaxInterval: iv}},
+		{Config{MaxInterval: 2 * time.Millisecond}, Config{MinInterval: 2 * time.Millisecond, MaxInterval: 2 * time.Millisecond}},
+		{Config{MinInterval: time.Millisecond, MaxInterval: time.Second, MaxGroupSize: 4}, Config{MinInterval: time.Millisecond, MaxInterval: time.Second, MaxGroupSize: 4}},
+	}
+	for i, c := range cases {
+		if got := c.in.WithInterval(iv); got != c.want {
+			t.Errorf("case %d: %+v.WithInterval(%v) = %+v, want %+v", i, c.in, iv, got, c.want)
+		}
 	}
 }

@@ -65,15 +65,15 @@ type Config struct {
 	Interval time.Duration
 	// AdaptiveDispatch replaces FaaSBatch's fixed interval with the
 	// load-aware controller (core.Config.AdaptiveDispatch): idle
-	// fast-path, EWMA-sized windows in [MinInterval, MaxInterval], early
-	// close at MaxGroupSize.
+	// fast-path and EWMA-sized windows in [MinInterval, MaxInterval].
 	AdaptiveDispatch bool
-	// MinInterval is the adaptive window floor (zero: core's default).
+	// MinInterval is the adaptive window floor (zero:
+	// dispatch.DefaultMinInterval).
 	MinInterval time.Duration
 	// MaxInterval is the adaptive window cap (zero: Interval).
 	MaxInterval time.Duration
-	// MaxGroupSize early-closes adaptive windows at this group size
-	// (zero: unbounded).
+	// MaxGroupSize early-closes windows, fixed or adaptive, at this
+	// group size (zero: unbounded).
 	MaxGroupSize int
 	// Seed drives the simulation's random source.
 	Seed int64

@@ -110,12 +110,15 @@ type StatsResponse struct {
 	Groups int64 `json:"groups"`
 	// FastPathDispatches counts adaptive idle fast-path dispatches.
 	FastPathDispatches int64 `json:"fastPathDispatches"`
-	// EarlyCloses counts adaptive windows closed at the group-size cap.
+	// EarlyCloses counts windows, fixed or adaptive, closed at the
+	// group-size cap.
 	EarlyCloses int64 `json:"earlyCloses"`
-	// WindowDispatches counts adaptive windows closed by their deadline.
+	// WindowDispatches counts adaptive windows closed by their deadline
+	// (fixed windows are not counted).
 	WindowDispatches int64 `json:"windowDispatches"`
-	// DispatchWindowMicros is the most recently chosen adaptive dispatch
-	// window, in microseconds (zero with adaptive dispatch off).
+	// DispatchWindowMicros is the most recently chosen dispatch window,
+	// in microseconds: the interval with fixed windows (zero before the
+	// first batched arrival and in vanilla mode).
 	DispatchWindowMicros int64 `json:"dispatchWindowMicros"`
 	// ContainersCreated counts cold starts.
 	ContainersCreated int64 `json:"containersCreated"`

@@ -44,8 +44,8 @@ const (
 	// SpanRetryBackoff covers the wait before a failed invocation
 	// re-enters a dispatch window.
 	SpanRetryBackoff = "retry-backoff"
-	// SpanDispatchWindow covers an invocation's wait inside an adaptive
-	// dispatch window, from arrival to window close; Detail carries the
+	// SpanDispatchWindow covers an invocation's wait inside a dispatch
+	// window, from arrival to window close; Detail carries the
 	// chosen interval and the close reason (window deadline, idle
 	// fast-path or early close). It refines SpanScheduling without
 	// entering the decomposition sum.

@@ -256,3 +256,64 @@ func TestAdaptiveCloseRace(t *testing.T) {
 		t.Fatalf("%d invocations unaccounted for after Close", got)
 	}
 }
+
+// TestFixedWindowEarlyClose: MaxGroupSize early-closes a fixed window
+// too. Four concurrent calls in a 5s window capped at four dispatch
+// together at the fourth arrival instead of at the grid deadline.
+func TestFixedWindowEarlyClose(t *testing.T) {
+	cfg := quickConfig(ModeBatch)
+	cfg.DispatchInterval = 5 * time.Second
+	cfg.ColdStart = 0
+	cfg.MaxGroupSize = 4
+	p := newPlatform(t, cfg)
+	if err := p.Register("echo", echo); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	const n = 4
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Invoke(ctx, "echo", nil); err != nil {
+				t.Errorf("Invoke: %v (the window waited for its deadline)", err)
+			}
+		}()
+	}
+	wg.Wait()
+	st := p.Stats()
+	if st.Groups != 1 || st.EarlyCloses != 1 {
+		t.Fatalf("Groups = %d, EarlyCloses = %d, want 1/1", st.Groups, st.EarlyCloses)
+	}
+}
+
+// TestFixedWindowCounters: a fixed window closes at its grid deadline
+// through the window loop, reports the interval as its window, and is
+// not counted as an adaptive window dispatch.
+func TestFixedWindowCounters(t *testing.T) {
+	cfg := quickConfig(ModeBatch)
+	p := newPlatform(t, cfg)
+	if err := p.Register("echo", echo); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	res, err := p.Invoke(context.Background(), "echo", nil)
+	if err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
+	if res.Sched > cfg.DispatchInterval+50*time.Millisecond {
+		t.Fatalf("Sched = %v, want at most one %v window", res.Sched, cfg.DispatchInterval)
+	}
+	st := p.Stats()
+	if st.Groups != 1 {
+		t.Fatalf("Groups = %d, want 1", st.Groups)
+	}
+	if st.WindowDispatches != 0 || st.FastPathDispatches != 0 || st.EarlyCloses != 0 {
+		t.Fatalf("WindowDispatches = %d, FastPathDispatches = %d, EarlyCloses = %d, want 0/0/0 in fixed mode",
+			st.WindowDispatches, st.FastPathDispatches, st.EarlyCloses)
+	}
+	if want := cfg.DispatchInterval.Microseconds(); st.DispatchWindowMicros != want {
+		t.Fatalf("DispatchWindowMicros = %d, want the interval %d", st.DispatchWindowMicros, want)
+	}
+}

@@ -51,9 +51,9 @@ var statExports = []statExport{
 	{"BootFailures", "faasbatch_boot_failures_total", "counter", "Failed container boots."},
 	{"Groups", "faasbatch_groups_total", "counter", "Dispatched window batches."},
 	{"FastPathDispatches", "faasbatch_fast_path_dispatches_total", "counter", "Adaptive idle fast-path dispatches (lone arrivals sent straight to a container)."},
-	{"EarlyCloses", "faasbatch_early_closes_total", "counter", "Adaptive windows closed early at the group-size cap."},
-	{"WindowDispatches", "faasbatch_window_dispatches_total", "counter", "Adaptive windows closed by their deadline."},
-	{"DispatchWindowMicros", "faasbatch_dispatch_window_micros", "gauge", "Most recently chosen adaptive dispatch window, in microseconds."},
+	{"EarlyCloses", "faasbatch_early_closes_total", "counter", "Dispatch windows, fixed or adaptive, closed early at the group-size cap."},
+	{"WindowDispatches", "faasbatch_window_dispatches_total", "counter", "Adaptive windows closed by their deadline (fixed windows are not counted)."},
+	{"DispatchWindowMicros", "faasbatch_dispatch_window_micros", "gauge", "Most recently chosen dispatch window, in microseconds (the interval with fixed windows)."},
 	{"ContainersCreated", "faasbatch_containers_created_total", "counter", "Cold starts."},
 	{"WarmStarts", "faasbatch_warm_starts_total", "counter", "Warm container reuses."},
 	{"LiveContainers", "faasbatch_live_containers", "gauge", "Containers currently alive."},

@@ -262,27 +262,27 @@ func (r Result) Total() time.Duration { return r.Sched + r.ColdStart + r.Queue +
 type Config struct {
 	// Mode selects batching (FaaSBatch) or per-invocation (Vanilla).
 	Mode Mode
-	// DispatchInterval is the Invoke Mapper window (ModeBatch only).
-	// With AdaptiveDispatch it becomes the default window cap (see
-	// MaxInterval).
+	// DispatchInterval is the Invoke Mapper window (ModeBatch only):
+	// windows close on the DispatchInterval grid. With AdaptiveDispatch
+	// it becomes the default window cap (see MaxInterval).
 	DispatchInterval time.Duration
-	// AdaptiveDispatch replaces the fixed dispatch interval with a
-	// load-aware controller (internal/dispatch): a lone arrival on an
-	// idle function dispatches immediately instead of waiting out a
-	// window, an EWMA of inter-arrival gaps sizes each window within
-	// [MinInterval, MaxInterval], and a window whose group reaches
-	// MaxGroupSize closes early. ModeBatch only; off by default (the
+	// AdaptiveDispatch switches the dispatch controller
+	// (internal/dispatch) from the paper's fixed interval to its
+	// load-aware mode: a lone arrival on an idle function dispatches
+	// immediately instead of waiting out a window, and an EWMA of
+	// inter-arrival gaps sizes each window within
+	// [MinInterval, MaxInterval]. ModeBatch only; off by default (the
 	// paper's fixed interval).
 	AdaptiveDispatch bool
 	// MinInterval is the adaptive window floor. Zero takes
-	// DefaultMinInterval (clamped to MaxInterval).
+	// dispatch.DefaultMinInterval (clamped to MaxInterval).
 	MinInterval time.Duration
 	// MaxInterval is the adaptive window cap. Zero takes
 	// DispatchInterval, so switching AdaptiveDispatch on never batches
 	// longer than the fixed configuration it replaces.
 	MaxInterval time.Duration
-	// MaxGroupSize closes an adaptive window early once its group
-	// reaches this size. Zero means unbounded groups.
+	// MaxGroupSize closes a window early, fixed or adaptive, once its
+	// group reaches this size. Zero means unbounded groups.
 	MaxGroupSize int
 	// ColdStart simulates container boot time.
 	ColdStart time.Duration
@@ -353,10 +353,6 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// DefaultMinInterval is the adaptive window floor when Config.MinInterval
-// is zero, mirroring core.DefaultMinInterval.
-const DefaultMinInterval = 5 * time.Millisecond
-
 // DefaultConfig returns paper-like live defaults (cold starts scaled down
 // so examples run snappily).
 func DefaultConfig() Config {
@@ -404,13 +400,15 @@ type Stats struct {
 	// arrivals sent straight to a container because no batching
 	// opportunity existed.
 	FastPathDispatches int64
-	// EarlyCloses counts adaptive windows closed early because their
-	// group reached MaxGroupSize.
+	// EarlyCloses counts windows, fixed or adaptive, closed early because
+	// their group reached MaxGroupSize.
 	EarlyCloses int64
-	// WindowDispatches counts adaptive windows closed by their deadline.
+	// WindowDispatches counts adaptive windows closed by their deadline
+	// (fixed windows are not counted).
 	WindowDispatches int64
-	// DispatchWindowMicros is the most recently chosen adaptive window,
-	// in microseconds (a gauge; zero until the first adaptive arrival).
+	// DispatchWindowMicros is the most recently chosen dispatch window,
+	// in microseconds: the interval in fixed mode (a gauge; zero until
+	// the first ModeBatch arrival).
 	DispatchWindowMicros int64
 	// ContainersCreated counts cold starts.
 	ContainersCreated int64
@@ -444,13 +442,13 @@ type function struct {
 	warm    []*container
 	pending []*pendingCall
 	all     []*container
-	// deadline is the wall-clock close of the function's open adaptive
-	// window (zero when no window is open).
+	// deadline is the wall-clock close of the function's open window
+	// (zero when no window is open).
 	deadline time.Time
-	// ctrl is this function's adaptive window controller (nil when
-	// AdaptiveDispatch is off). dispatch.Controller is not safe for
-	// concurrent use; mu serialises it — giving each function its own
-	// controller is what lets the shards run lock-independent.
+	// ctrl is this function's window controller (nil in ModeVanilla).
+	// dispatch.Controller is not safe for concurrent use; mu serialises
+	// it — giving each function its own controller is what lets the
+	// shards run lock-independent.
 	ctrl *dispatch.Controller
 }
 
@@ -526,14 +524,14 @@ type Platform struct {
 	seq    atomic.Int64
 	ctr    counters
 
-	// Adaptive dispatch (false/zero when AdaptiveDispatch is off). Each
-	// function gets its own controller (built from dcfg at Register);
-	// the platform feeds wall-clock offsets from epoch. kick (buffered
-	// 1) wakes adaptiveLoop when an arrival opens an earlier window.
-	adaptive bool
-	dcfg     dispatch.Config
-	epoch    time.Time
-	kick     chan struct{}
+	// Dispatch (ModeBatch). Each function gets its own controller (built
+	// from dcfg at Register); the platform feeds wall-clock offsets from
+	// epoch, which also anchors the fixed-mode window grid. kick
+	// (buffered 1) wakes windowLoop when an arrival opens an earlier
+	// window.
+	dcfg  dispatch.Config
+	epoch time.Time
+	kick  chan struct{}
 
 	stopTicker chan struct{}
 	wg         sync.WaitGroup
@@ -558,31 +556,18 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.MaxGroupSize < 0 {
 		return nil, fmt.Errorf("platform: max group size must be non-negative, got %d", cfg.MaxGroupSize)
 	}
-	var (
-		adaptive bool
-		dcfg     dispatch.Config
-	)
-	if cfg.Mode == ModeBatch && cfg.AdaptiveDispatch {
-		if cfg.MaxInterval == 0 {
-			cfg.MaxInterval = cfg.DispatchInterval
-		}
-		if cfg.MinInterval == 0 {
-			cfg.MinInterval = DefaultMinInterval
-			if cfg.MinInterval > cfg.MaxInterval {
-				cfg.MinInterval = cfg.MaxInterval
-			}
-		}
-		dcfg = dispatch.Config{
-			MinInterval:  cfg.MinInterval,
-			MaxInterval:  cfg.MaxInterval,
-			MaxGroupSize: cfg.MaxGroupSize,
-		}
+	dcfg := dispatch.Config{
+		Fixed:        !cfg.AdaptiveDispatch,
+		MinInterval:  cfg.MinInterval,
+		MaxInterval:  cfg.MaxInterval,
+		MaxGroupSize: cfg.MaxGroupSize,
+	}.WithInterval(cfg.DispatchInterval)
+	if cfg.Mode == ModeBatch {
 		// Each function gets its own controller at Register; validate the
 		// shared configuration once here.
 		if err := dcfg.Validate(); err != nil {
 			return nil, fmt.Errorf("platform: %w", err)
 		}
-		adaptive = true
 	}
 	if cfg.ColdStart < 0 {
 		return nil, fmt.Errorf("platform: cold start must be non-negative, got %v", cfg.ColdStart)
@@ -630,7 +615,6 @@ func New(cfg Config) (*Platform, error) {
 		metrics:    obs.NewMetrics(),
 		slos:       slos,
 		logger:     logger,
-		adaptive:   adaptive,
 		dcfg:       dcfg,
 		epoch:      time.Now(),
 		kick:       make(chan struct{}, 1),
@@ -641,21 +625,17 @@ func New(cfg Config) (*Platform, error) {
 	p.logger.Info("platform started",
 		"mode", cfg.Mode.String(),
 		"interval", cfg.DispatchInterval,
-		"adaptive", adaptive,
+		"adaptive", cfg.Mode == ModeBatch && cfg.AdaptiveDispatch,
 		"multiplex", cfg.Multiplex,
 		"tracing", cfg.Tracer != nil)
 	if cfg.Mode == ModeBatch {
 		p.wg.Add(1)
-		if adaptive {
-			go p.adaptiveLoop()
-		} else {
-			go p.dispatchLoop()
-		}
+		go p.windowLoop()
 	}
 	// Eviction runs on its own timer in every mode: Vanilla has no
 	// dispatch loop to piggyback on (the pre-fix bug — idle Vanilla
-	// containers outlived KeepAlive until Close), and adaptive windows
-	// fire irregularly.
+	// containers outlived KeepAlive until Close), and windows close only
+	// when calls are pending.
 	p.wg.Add(1)
 	go p.evictLoop()
 	return p, nil
@@ -695,7 +675,7 @@ func (p *Platform) Register(name string, h Handler) error {
 		return fmt.Errorf("platform: register requires a name and a handler")
 	}
 	f := &function{name: name, handler: h}
-	if p.adaptive {
+	if p.cfg.Mode == ModeBatch {
 		ctrl, err := dispatch.New(p.dcfg)
 		if err != nil {
 			// Unreachable: New validated dcfg.
@@ -800,15 +780,13 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 		p.wg.Add(1)
 		run = getGroup(1)
 		run.calls = append(run.calls, call)
-	case p.adaptive:
-		if g := p.adaptiveSubmitLocked(f, call); g != nil {
+	default:
+		if g := p.submitLocked(f, call, false); g != nil {
 			// Fast path or early close: dispatch without waiting for the
 			// window loop.
 			p.wg.Add(1)
 			run = g
 		}
-	default:
-		p.enqueueLocked(f, call)
 	}
 	f.mu.Unlock()
 	if run != nil {
@@ -838,42 +816,27 @@ func (p *Platform) InvokeWithTrace(ctx context.Context, fn string, payload json.
 // appends without growing. Caller holds f.mu.
 func (p *Platform) enqueueLocked(f *function, call *pendingCall) {
 	if f.pending == nil {
-		n := 8
-		if f.ctrl != nil {
-			if e := f.ctrl.ExpectedGroup(f.name); e > n {
-				n = e
-			}
-		}
-		f.pending = make([]*pendingCall, 0, n)
+		f.pending = make([]*pendingCall, 0, max(8, f.ctrl.ExpectedGroup(f.name)))
 	}
 	f.pending = append(f.pending, call)
 }
 
-// dispatchLoop is the fixed-interval Invoke Mapper: every interval it
-// drains each function's pending calls as one group.
-func (p *Platform) dispatchLoop() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.DispatchInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			p.dispatchWindow()
-		case <-p.stopTicker:
-			p.dispatchWindow() // flush
-			return
-		}
+// submitLocked enqueues one call and routes it through f's dispatch
+// controller: a fresh arrival through Arrive, a retry through EnsureOpen
+// (it rides a window without skewing the arrival-rate estimate). It
+// returns a group to dispatch now (idle fast-path or early close), or
+// nil when the call waits for its window. Caller holds f.mu.
+func (p *Platform) submitLocked(f *function, call *pendingCall, retry bool) *callGroup {
+	now := time.Since(p.epoch)
+	var d dispatch.Decision
+	if retry {
+		p.enqueueLocked(f, call)
+		d = f.ctrl.EnsureOpen(f.name, now)
+	} else {
+		idle := len(f.pending) == 0 && !p.busyLocked(f)
+		p.enqueueLocked(f, call)
+		d = f.ctrl.Arrive(f.name, now, idle)
 	}
-}
-
-// adaptiveSubmitLocked routes one arrival through the function's
-// dispatch controller. It returns a group to dispatch immediately (idle
-// fast-path or early close), or nil when the call must wait for its
-// window. Caller holds f.mu.
-func (p *Platform) adaptiveSubmitLocked(f *function, call *pendingCall) *callGroup {
-	idle := len(f.pending) == 0 && !p.busyLocked(f)
-	p.enqueueLocked(f, call)
-	d := f.ctrl.Arrive(f.name, time.Since(p.epoch), idle)
 	p.ctr.dispatchWindowMicros.Store(d.Window.Microseconds())
 	switch d.Action {
 	case dispatch.ActionFastPath:
@@ -912,7 +875,7 @@ func (p *Platform) busyLocked(f *function) bool {
 	return false
 }
 
-// kickLoop wakes adaptiveLoop to re-arm its timer (an arrival opened a
+// kickLoop wakes windowLoop to re-arm its timer (an arrival opened a
 // window that may close before the one the loop is sleeping on).
 func (p *Platform) kickLoop() {
 	select {
@@ -921,11 +884,12 @@ func (p *Platform) kickLoop() {
 	}
 }
 
-// adaptiveLoop is the Invoke Mapper in adaptive mode: instead of a fixed
-// ticker it sleeps until the earliest per-function window deadline,
-// re-armed whenever an arrival opens an earlier window. The timer is
-// created fresh each iteration (no Reset races).
-func (p *Platform) adaptiveLoop() {
+// windowLoop is the Invoke Mapper: it sleeps until the earliest
+// per-function window deadline, re-armed whenever an arrival opens an
+// earlier window. Fixed-mode deadlines all lie on the DispatchInterval
+// grid, so one wake closes every open window together, as a ticker
+// would. The timer is created fresh each iteration (no Reset races).
+func (p *Platform) windowLoop() {
 	defer p.wg.Done()
 	for {
 		var next time.Time
@@ -942,23 +906,19 @@ func (p *Platform) adaptiveLoop() {
 			timerC <-chan time.Time
 		)
 		if !next.IsZero() {
-			d := time.Until(next)
-			if d < 0 {
-				d = 0
-			}
-			timer = time.NewTimer(d)
+			timer = time.NewTimer(max(time.Until(next), 0))
 			timerC = timer.C
 		}
 		select {
 		case <-timerC:
-			p.dispatchDue()
+			p.closeWindows(false)
 		case <-p.kick:
 			// Re-scan deadlines and re-arm.
 		case <-p.stopTicker:
 			if timer != nil {
 				timer.Stop()
 			}
-			p.dispatchWindow() // flush
+			p.closeWindows(true)
 			return
 		}
 		if timer != nil {
@@ -967,8 +927,9 @@ func (p *Platform) adaptiveLoop() {
 	}
 }
 
-// dispatchDue closes every adaptive window whose deadline has passed.
-func (p *Platform) dispatchDue() {
+// closeWindows dispatches every window whose deadline has passed, or
+// with flush (at Close) every pending group, each on its own goroutine.
+func (p *Platform) closeWindows(flush bool) {
 	now := time.Now()
 	type job struct {
 		f  *function
@@ -977,7 +938,7 @@ func (p *Platform) dispatchDue() {
 	var jobs []job
 	for _, f := range p.fnsAll() {
 		f.mu.Lock()
-		if f.deadline.IsZero() || f.deadline.After(now) {
+		if !flush && (f.deadline.IsZero() || f.deadline.After(now)) {
 			f.mu.Unlock()
 			continue
 		}
@@ -989,44 +950,13 @@ func (p *Platform) dispatchDue() {
 			f.mu.Unlock()
 			continue
 		}
-		p.ctr.windowDispatches.Add(1)
-		p.recordWindowSpans(f, cg.calls, window, "window")
+		if !flush {
+			if !p.dcfg.Fixed {
+				p.ctr.windowDispatches.Add(1)
+			}
+			p.recordWindowSpans(f, cg.calls, window, "window")
+		}
 		f.mu.Unlock()
-		jobs = append(jobs, job{f: f, cg: cg})
-	}
-	for _, j := range jobs {
-		j := j
-		if p.logOn(slog.LevelDebug) {
-			p.logger.Debug("dispatch window", "fn", j.f.name, "group", len(j.cg.calls))
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.runGroup(j.f, j.cg.calls)
-			putGroup(j.cg)
-		}()
-	}
-}
-
-// dispatchWindow drains every function's window group: the fixed-interval
-// tick, and the final flush of both batch loops at Close.
-func (p *Platform) dispatchWindow() {
-	type job struct {
-		f  *function
-		cg *callGroup
-	}
-	var jobs []job
-	for _, f := range p.fnsAll() {
-		f.mu.Lock()
-		if f.ctrl != nil {
-			f.deadline = time.Time{}
-			f.ctrl.WindowClosed(f.name)
-		}
-		cg := p.claimPendingLocked(f)
-		f.mu.Unlock()
-		if cg == nil {
-			continue
-		}
 		jobs = append(jobs, job{f: f, cg: cg})
 	}
 	for _, j := range jobs {
@@ -1100,8 +1030,8 @@ func (p *Platform) recordWindowSpans(f *function, group []*pendingCall, window t
 
 // evictLoop retires idle warm containers past KeepAlive on its own
 // cadence, decoupled from dispatch: Vanilla mode has no dispatch loop at
-// all, and adaptive windows fire irregularly, so eviction can ride
-// neither.
+// all, and windows close only when calls are pending, so eviction can
+// ride neither.
 func (p *Platform) evictLoop() {
 	defer p.wg.Done()
 	period := p.cfg.KeepAlive / 4
@@ -1591,31 +1521,13 @@ func (p *Platform) retryLater(f *function, call *pendingCall) {
 	if p.cfg.Mode == ModeBatch {
 		f.mu.Lock()
 		if !p.closed.Load() {
-			p.enqueueLocked(f, call)
-			if f.ctrl != nil {
-				// Ride the adaptive window machinery without skewing the
-				// arrival-rate estimate (EnsureOpen, not Arrive).
-				d := f.ctrl.EnsureOpen(f.name, time.Since(p.epoch))
-				if d.Action == dispatch.ActionEarlyClose {
-					p.ctr.earlyCloses.Add(1)
-					f.deadline = time.Time{}
-					cg := p.claimPendingLocked(f)
-					if cg != nil {
-						p.recordWindowSpans(f, cg.calls, d.Window, d.Action.String())
-					}
-					f.mu.Unlock()
-					if cg != nil {
-						p.runGroup(f, cg.calls)
-						putGroup(cg)
-					}
-					return
-				}
-				if f.deadline.IsZero() {
-					f.deadline = p.epoch.Add(d.Deadline)
-					p.kickLoop()
-				}
-			}
+			cg := p.submitLocked(f, call, true)
 			f.mu.Unlock()
+			if cg != nil {
+				// The retry filled its window: run the group now.
+				p.runGroup(f, cg.calls)
+				putGroup(cg)
+			}
 			return
 		}
 		f.mu.Unlock()

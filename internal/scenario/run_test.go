@@ -2,8 +2,12 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -268,5 +272,77 @@ invariants:
 	}
 	if body.MakespanMillis < 30_000 {
 		t.Errorf("makespan %d ms; the run ended before the recovery at ~30.5s", body.MakespanMillis)
+	}
+}
+
+// pinnedBodySHA256 is the report-body hash of every committed sim
+// scenario (scenarios/fleet-1m.yaml aside: it takes ~20 s). A change
+// that should not move any report must leave these untouched; one that
+// does must update them and say why. Regenerate one with
+// `go run ./cmd/faasstress -input <file> -q | grep body_sha256`.
+var pinnedBodySHA256 = map[string]string{
+	"testdata/bursty.yaml":                     "ef46ee48aed97e7073a24b6df94bbbafaa01aa0a50b3e09ccfa472d4a5cac515",
+	"testdata/failover.yaml":                   "c35e9e9d99165a640d747d91221a5a52282671258344b16038c36a69f21acce4",
+	"testdata/noisy-chaos.yaml":                "f4e8a1e7b324a4572a081a619c727050177a2cf6400d442a0c579343d1573e71",
+	"testdata/pull-skew.yaml":                  "9fd7369ad9f20f4b0536db19e8019aef71a75c0226ede8328b21033540e2793d",
+	"testdata/sparse.yaml":                     "f11431852352df217268ab12db35640318dc51960a80afc088cfb2e887155335",
+	"../../scenarios/autoscale-burst.yaml":     "abb5c33f13124d3d874c841937d5d0551e07b51585900a4b9a4a21c64f7252fe",
+	"../../scenarios/skewed-hot-function.yaml": "8382a69b7888187d132e0ce3271d4397db427a3a1673d6ef65b31051953943c2",
+	"../../scenarios/slo-burn.yaml":            "c1e1fff623068d2f8b8258394099a219b6d9cd46f63895a637e7a9b272970934",
+	"../../scenarios/smoke.yaml":               "0d6f168ba9db11147d19cf25a7ebc83c81fb36e97054079344a4c185bd5f5c36",
+}
+
+// TestScenarioHashesPinned pins every committed scenario's report body
+// across commits. TestDeterminismCorpus only compares runs of one
+// commit, so a refactor that reorders same-instant sim events — which
+// moves reports without making them nondeterministic — would pass it.
+// The hashes were taken on linux/amd64; other architectures may fuse
+// floating-point multiply-adds and round differently, so they skip.
+func TestScenarioHashesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hashes pinned on amd64, running on %s", runtime.GOARCH)
+	}
+	corpus, err := filepath.Glob(filepath.Join("testdata", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := NewRunner()
+	for _, f := range append(corpus, committed...) {
+		f := filepath.ToSlash(f)
+		if strings.HasSuffix(f, "/fleet-1m.yaml") {
+			continue
+		}
+		t.Run(filepath.Base(f), func(t *testing.T) {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			sc, err := Parse(src)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			if sc.Mode != ModeSim {
+				t.Skip("live scenarios are not byte-reproducible")
+			}
+			want, ok := pinnedBodySHA256[f]
+			if !ok {
+				t.Fatalf("%s has no pinned hash: add it to pinnedBodySHA256", f)
+			}
+			body, err := runner.RunBody(sc)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			raw, err := body.Marshal()
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+				t.Errorf("body sha256 = %s, pinned %s", got, want)
+			}
+		})
 	}
 }

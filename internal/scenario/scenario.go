@@ -87,9 +87,10 @@ type Dispatch struct {
 	Adaptive bool
 	// Interval is the fixed window (or adaptive cap). Zero: core default.
 	Interval time.Duration
-	// MinInterval is the adaptive floor. Zero: core default.
+	// MinInterval is the adaptive floor. Zero: dispatch default.
 	MinInterval time.Duration
-	// MaxGroupSize early-closes adaptive windows. Zero: unbounded.
+	// MaxGroupSize early-closes windows, fixed or adaptive. Zero:
+	// unbounded.
 	MaxGroupSize int
 	// Balancing is the routing strategy (default fn-affinity).
 	Balancing cluster.Balancing
