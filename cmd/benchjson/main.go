@@ -13,30 +13,6 @@
 // most one goroutine runs at a time, so even a single global mutex is
 // almost never contended. The report records NumCPU so readers can judge.
 //
-// With -dispatch the command ignores stdin and instead benchmarks the
-// Invoke Mapper itself: fixed vs adaptive dispatch windows on sparse and
-// bursty synthetic traces (deterministic simulations), plus a lone
-// wall-clock invocation on an idle live platform per mode. The JSON lands
-// in BENCH_dispatch.json in CI.
-//
-//	go run ./cmd/benchjson -dispatch > BENCH_dispatch.json
-//
-// With -autoscale it replays one bursty schedule through a static fleet
-// and an elastic one (internal/autoscale over the cluster simulator) and
-// reports the provisioned worker-seconds each paid plus the cold-start
-// latency penalty elasticity incurred. The JSON lands in
-// BENCH_autoscale.json in CI.
-//
-//	go run ./cmd/benchjson -autoscale > BENCH_autoscale.json
-//
-// With -routing it replays one 90/10-skewed schedule with a mid-run
-// worker failure through the consistent-hash push policy and the
-// worker-pull late-binding policy, and reports each policy's tail
-// latency and load-spread CV plus the derived pull-beats-hash verdicts
-// CI gates on. The JSON lands in BENCH_routing.json in CI.
-//
-//	go run ./cmd/benchjson -routing > BENCH_routing.json
-//
 // With -hotpath it measures the invoke hot path end to end — warm sim
 // submit through the sharded queue, the byte-oriented /invoke wire
 // encode/decode, the live worker gateway over loopback HTTP and the
@@ -90,35 +66,11 @@ type report struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
-	dispatchMode := flag.Bool("dispatch", false, "benchmark fixed vs adaptive dispatch windows instead of parsing stdin")
-	autoscaleMode := flag.Bool("autoscale", false, "benchmark an elastic fleet vs a static one instead of parsing stdin")
-	routingMode := flag.Bool("routing", false, "benchmark the pull policy vs consistent hashing on skewed traffic instead of parsing stdin")
 	hotpathMode := flag.Bool("hotpath", false, "benchmark the invoke hot path (sim submit, wire encode/decode, live gateway, routed) instead of parsing stdin")
 	flag.Parse()
 	if *hotpathMode {
 		if err := runHotpath(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson: hotpath:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *dispatchMode {
-		if err := runDispatch(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: dispatch:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *autoscaleMode {
-		if err := runAutoscale(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: autoscale:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *routingMode {
-		if err := runRouting(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: routing:", err)
 			os.Exit(1)
 		}
 		return

@@ -68,6 +68,9 @@ func Figures() []Figure {
 		{ID: "ext-cluster", Title: "Extension — FaaSBatch cluster scale-out and routing strategies", Run: RunExtensionCluster},
 		{ID: "ext-prewarm", Title: "Extension — predictive pre-warming for FaaSBatch", Run: RunExtensionPrewarm},
 		{ID: "ext-chains", Title: "Extension — sequential function chains across policies", Run: RunExtensionChains},
+		{ID: "ext-dispatch", Title: "Extension — fixed vs adaptive dispatch windows on sparse and bursty traces", Run: RunExtensionDispatch},
+		{ID: "ext-autoscale", Title: "Extension — elastic vs static fleet on one bursty schedule", Run: RunExtensionAutoscale},
+		{ID: "ext-routing", Title: "Extension — consistent-hash vs pull routing under 90/10 skew and a worker outage", Run: RunExtensionRouting},
 	}
 }
 

@@ -12,7 +12,7 @@ var tinyOptions = Options{Scale: 0.05, Seed: 13}
 
 func TestFiguresRegistryComplete(t *testing.T) {
 	figs := Figures()
-	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "headline", "ablation-multiplex", "ablation-keepalive", "ablation-burstiness", "sensitivity", "ext-faults", "ext-cluster", "ext-prewarm", "ext-chains"}
+	want := []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "headline", "ablation-multiplex", "ablation-keepalive", "ablation-burstiness", "sensitivity", "ext-faults", "ext-cluster", "ext-prewarm", "ext-chains", "ext-dispatch", "ext-autoscale", "ext-routing"}
 	if len(figs) != len(want) {
 		t.Fatalf("registry has %d figures, want %d", len(figs), len(want))
 	}

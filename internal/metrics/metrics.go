@@ -73,6 +73,27 @@ func Imbalance(counts []int) float64 {
 	return float64(maxC) / mean
 }
 
+// LoadCV is the coefficient of variation (stddev/mean) of per-entity
+// counts: 0 for a perfectly even spread (and when counts are empty or
+// sum to zero), higher the more load concentrates on few entities. The
+// scenario harness and the ext-routing figure apply it to per-worker
+// routed counts.
+func LoadCV(counts []int) float64 {
+	var sum, ss float64
+	for _, n := range counts {
+		sum += float64(n)
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := sum / float64(len(counts))
+	for _, n := range counts {
+		d := float64(n) - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/float64(len(counts))) / mean
+}
+
 // Component selects one latency component of a Record.
 type Component int
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -337,6 +338,25 @@ func TestImbalance(t *testing.T) {
 	for _, c := range cases {
 		if got := Imbalance(c.counts); got != c.want {
 			t.Errorf("Imbalance(%v) = %v, want %v", c.counts, got, c.want)
+		}
+	}
+}
+
+func TestLoadCV(t *testing.T) {
+	cases := []struct {
+		counts []int
+		want   float64
+	}{
+		{nil, 0},
+		{[]int{}, 0},
+		{[]int{0, 0, 0}, 0},
+		{[]int{5, 5, 5, 5}, 0},
+		{[]int{6, 2}, 0.5},           // mean 4, stddev 2
+		{[]int{9, 0, 0}, math.Sqrt2}, // mean 3, stddev 3·√2
+	}
+	for _, c := range cases {
+		if got := LoadCV(c.counts); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("LoadCV(%v) = %v, want %v", c.counts, got, c.want)
 		}
 	}
 }

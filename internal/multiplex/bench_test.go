@@ -52,9 +52,9 @@ func BenchmarkMultiplexGlobalHit1(b *testing.B)  { benchmarkHitPath(b, 1, 1) }
 func BenchmarkMultiplexGlobalHit4(b *testing.B)  { benchmarkHitPath(b, 1, 4) }
 func BenchmarkMultiplexGlobalHit16(b *testing.B) { benchmarkHitPath(b, 1, 16) }
 
-// benchmarkGetOrBuildContext exercises the blocking handler-facing face end to
-// end (outcome classification included) on a hot working set.
-func benchmarkGetOrBuildContext(b *testing.B, shards, goroutines int) {
+// benchmarkAcquire exercises the blocking handler-facing face end to end
+// (outcome classification and release included) on a hot working set.
+func benchmarkAcquire(b *testing.B, shards, goroutines int) {
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -67,7 +67,9 @@ func benchmarkGetOrBuildContext(b *testing.B, shards, goroutines int) {
 	build := func() (any, int64, error) { return "inst", 64, nil }
 	for i := range keys {
 		keys[i] = NewKey("client", fmt.Sprintf("args-%d", i))
-		if _, _, err := c.GetOrBuildContext(ctx, keys[i], build); err != nil {
+		_, _, release, err := c.Acquire(ctx, keys[i], build)
+		release()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,12 +82,14 @@ func benchmarkGetOrBuildContext(b *testing.B, shards, goroutines int) {
 		for pb.Next() {
 			k := keys[i%nkeys]
 			i++
-			if _, out, err := c.GetOrBuildContext(ctx, k, build); err != nil || !out.Cached() {
+			_, out, release, err := c.Acquire(ctx, k, build)
+			release()
+			if err != nil || !out.Cached() {
 				b.Fatalf("outcome=%v err=%v", out, err)
 			}
 		}
 	})
 }
 
-func BenchmarkMultiplexShardedGet16(b *testing.B) { benchmarkGetOrBuildContext(b, 0, 16) }
-func BenchmarkMultiplexGlobalGet16(b *testing.B)  { benchmarkGetOrBuildContext(b, 1, 16) }
+func BenchmarkMultiplexShardedGet16(b *testing.B) { benchmarkAcquire(b, 0, 16) }
+func BenchmarkMultiplexGlobalGet16(b *testing.B)  { benchmarkAcquire(b, 1, 16) }

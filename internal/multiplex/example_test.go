@@ -9,7 +9,7 @@ import (
 
 // The blocking face: concurrent handlers share one expensive client per
 // container, exactly like the paper's Listing 1 clients.
-func ExampleCache_GetOrBuildContext() {
+func ExampleCache_Acquire() {
 	cache := multiplex.New(multiplex.Config{})
 	key := multiplex.NewKey("boto3.client", "s3:ACCESS_KEY")
 
@@ -18,7 +18,8 @@ func ExampleCache_GetOrBuildContext() {
 		return "S3_client", 15 << 20, nil
 	}
 	for i := 0; i < 3; i++ {
-		client, out, err := cache.GetOrBuildContext(context.Background(), key, build)
+		client, out, release, err := cache.Acquire(context.Background(), key, build)
+		release()
 		if err != nil {
 			fmt.Println("error:", err)
 			return

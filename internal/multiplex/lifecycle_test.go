@@ -66,31 +66,36 @@ func TestBlockingRefreshSurvivesHardExpiry(t *testing.T) {
 			inst.(*closeRecorder).closed.Add(1)
 		}})
 	key := NewKey("client", "args")
-	if _, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	_, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return inst1, 5, nil
-	}); err != nil || out != OutcomeMiss {
+	})
+	release()
+	if err != nil || out != OutcomeMiss {
 		t.Fatalf("seed build = %v, %v", out, err)
 	}
 
 	clock.advance(80 * time.Millisecond)
 	gate := make(chan struct{})
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		<-gate
 		return inst2, 6, nil
 	})
+	release()
 	if err != nil || out != OutcomeStale || v != inst1 {
 		t.Fatalf("stale get = %v, %v, %v", v, out, err)
 	}
 	// Hard expiry passes while the refresh is gated.
 	clock.advance(40 * time.Millisecond)
-	v, out, err = c.GetOrBuildContext(context.Background(), key, nil)
+	v, out, release, err = c.Acquire(context.Background(), key, nil)
+	release()
 	if err != nil || out != OutcomeHit || v != inst1 {
 		t.Fatalf("get past TTL mid-refresh = %v, %v, %v; want stale inst1 hit", v, out, err)
 	}
 	close(gate)
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		v, _, err = c.GetOrBuildContext(context.Background(), key, nil)
+		v, _, release, err = c.Acquire(context.Background(), key, nil)
+		release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,15 +174,18 @@ func TestRefreshPanicIsRecoveredAndFailsEntry(t *testing.T) {
 	clock := newTestClock(0)
 	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond, Now: clock.now})
 	key := NewKey("client", "args")
-	if _, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	_, _, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
-	}); err != nil {
+	})
+	release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	clock.advance(80 * time.Millisecond)
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		panic("constructor exploded")
 	})
+	release()
 	if err != nil || out != OutcomeStale || v != "v1" {
 		t.Fatalf("stale get = %v, %v, %v", v, out, err)
 	}
@@ -207,15 +215,17 @@ func TestBuildPanicFailsPendingEntry(t *testing.T) {
 				t.Error("panic did not propagate to the building caller")
 			}
 		}()
-		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+		_, _, release, _ := c.Acquire(context.Background(), key, func() (any, int64, error) {
 			panic("constructor exploded")
 		})
+		release()
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	v, out, err := c.GetOrBuildContext(ctx, key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(ctx, key, func() (any, int64, error) {
 		return "rebuilt", 1, nil
 	})
+	release()
 	if err != nil || out != OutcomeMiss || v != "rebuilt" {
 		t.Fatalf("post-panic get = %v, %v, %v; want a fresh miss (key not poisoned)", v, out, err)
 	}
@@ -242,9 +252,11 @@ func TestAcquireDefersEvictionUntilRelease(t *testing.T) {
 		t.Fatalf("acquire = %v, %v, %v", v, out, err)
 	}
 	// Overflow the 1-entry cache: A is evicted while still borrowed.
-	if _, _, err := c.GetOrBuildContext(context.Background(), keyB, func() (any, int64, error) {
+	_, _, releaseB, err := c.Acquire(context.Background(), keyB, func() (any, int64, error) {
 		return "other", 1, nil
-	}); err != nil {
+	})
+	releaseB()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Evictions != 1 {

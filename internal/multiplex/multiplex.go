@@ -27,12 +27,11 @@
 //     discrete-event simulator, where "building" takes virtual time and
 //     concurrent requesters for the same key coalesce onto the first
 //     build.
-//   - A blocking face (Acquire, plus the non-borrowing GetOrBuildContext
-//     wrapper) used by the live platform, where the build runs real code
-//     and concurrent goroutines coalesce singleflight-style. Acquire
-//     additionally lends the instance to the caller: evictions of a lent
-//     instance defer the OnEvict hook until its release, so in-use
-//     clients are never closed mid-request.
+//   - A blocking face (Acquire) used by the live platform, where the
+//     build runs real code and concurrent goroutines coalesce
+//     singleflight-style. Acquire also lends the instance to the caller:
+//     evictions of a lent instance defer the OnEvict hook until its
+//     release, so in-use clients are never closed mid-request.
 package multiplex
 
 import (
@@ -80,7 +79,7 @@ var (
 	// the negative cache. errors.Is(err, ErrBuildFailed) matches, and the
 	// underlying constructor error remains reachable via errors.Is/As.
 	ErrBuildFailed = errors.New("multiplex: resource build failed")
-	// ErrCacheClosed reports a GetOrBuildContext call against a closed
+	// ErrCacheClosed reports an Acquire call against a closed
 	// cache (its container was torn down).
 	ErrCacheClosed = errors.New("multiplex: cache closed")
 )
@@ -103,7 +102,7 @@ func (e *buildError) Unwrap() []error { return []error{ErrBuildFailed, e.cause} 
 // Outcome classifies how one blocking-face creation was served.
 type Outcome int
 
-// Outcomes of GetOrBuildContext.
+// Outcomes of Acquire.
 const (
 	// OutcomeMiss means this caller built the instance.
 	OutcomeMiss Outcome = iota + 1
@@ -414,8 +413,7 @@ func (c *Cache) Complete(key Key, instance any, bytes int64) {
 func (c *Cache) Fail(key Key) { c.FailErr(key, nil) }
 
 // FailErr is Fail carrying the build error, which the negative cache
-// serves to denied callers (GetOrBuildContext wraps it with
-// ErrBuildFailed).
+// serves to denied callers (Acquire wraps it with ErrBuildFailed).
 func (c *Cache) FailErr(key Key, cause error) {
 	c.shardFor(key).fail(key, cause)
 }
@@ -430,17 +428,6 @@ func (c *Cache) FailErr(key Key, cause error) {
 // reports whether an entry was dropped or condemned.
 func (c *Cache) Invalidate(key Key) bool {
 	return c.shardFor(key).invalidate(key)
-}
-
-// GetOrBuildContext is the non-borrowing blocking face: Acquire with the
-// instance released immediately. It offers no protection against the
-// cache closing an evicted io.Closer instance while the caller still uses
-// it — callers holding instances across real work should use Acquire and
-// release when done.
-func (c *Cache) GetOrBuildContext(ctx context.Context, key Key, build func() (any, int64, error)) (any, Outcome, error) {
-	v, out, release, err := c.Acquire(ctx, key, build)
-	release()
-	return v, out, err
 }
 
 // ReleaseFunc returns a borrowed instance to the cache's lifecycle
@@ -594,7 +581,7 @@ func (c *Cache) Stats() Stats {
 // waking pending waiters with nil, so coalesced invocations are never
 // stranded by a container teardown — and reports the bytes that were live
 // (so the teardown can return them to the node's memory ledger). After
-// Close, GetOrBuildContext reports ErrCacheClosed and the event-driven
+// Close, Acquire reports ErrCacheClosed and the event-driven
 // face stops storing instances. Close is idempotent.
 func (c *Cache) Close() int64 {
 	var freed int64

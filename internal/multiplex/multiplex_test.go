@@ -186,13 +186,15 @@ func TestGetOrBuildBlockingFace(t *testing.T) {
 		builds++
 		return "inst", 10, nil
 	}
-	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+	v, out, release, err := c.Acquire(context.Background(), key, build)
+	release()
 	if err != nil || out != OutcomeMiss || v != "inst" {
-		t.Fatalf("first GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("first Acquire = %v, %v, %v", v, out, err)
 	}
-	v, out, err = c.GetOrBuildContext(context.Background(), key, build)
+	v, out, release, err = c.Acquire(context.Background(), key, build)
+	release()
 	if err != nil || out != OutcomeHit || v != "inst" {
-		t.Fatalf("second GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("second Acquire = %v, %v, %v", v, out, err)
 	}
 	if builds != 1 {
 		t.Fatalf("build ran %d times, want 1", builds)
@@ -203,14 +205,16 @@ func TestGetOrBuildPropagatesError(t *testing.T) {
 	c := New(Config{})
 	key := NewKey("client", "args")
 	wantErr := errors.New("no network")
-	_, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
+	_, _, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) { return nil, 0, wantErr })
+	release()
 	if err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want wrapped %v", err, wantErr)
 	}
 	// A later build can succeed.
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) { return "ok", 1, nil })
+	release()
 	if err != nil || out != OutcomeMiss || v != "ok" {
-		t.Fatalf("retry GetOrBuildContext = %v, %v, %v", v, out, err)
+		t.Fatalf("retry Acquire = %v, %v, %v", v, out, err)
 	}
 }
 
@@ -226,13 +230,14 @@ func TestGetOrBuildConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+			v, _, done, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 				builds.Add(1)
 				<-release
 				return "inst", 5, nil
 			})
+			done()
 			if err != nil {
-				t.Errorf("GetOrBuildContext: %v", err)
+				t.Errorf("Acquire: %v", err)
 			}
 			results[i] = v
 		}()
@@ -284,7 +289,8 @@ func TestCloseWithPendingEntryUnblocksWaiters(t *testing.T) {
 	go func() {
 		defer close(done)
 		// This waiter blocks on the pending build; Close must release it.
-		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
+		_, _, release, _ := c.Acquire(context.Background(), key, func() (any, int64, error) { return "x", 1, nil })
+		release()
 	}()
 	// Give the goroutine a chance to register; stop once it is either
 	// waiting (pending) or already finished (hit).

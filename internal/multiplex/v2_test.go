@@ -57,11 +57,13 @@ func TestGetOrBuildContextOutcomes(t *testing.T) {
 	c := New(Config{})
 	key := NewKey("client", "args")
 	build := func() (any, int64, error) { return "inst", 10, nil }
-	v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+	v, out, release, err := c.Acquire(context.Background(), key, build)
+	release()
 	if err != nil || out != OutcomeMiss || v != "inst" {
 		t.Fatalf("first = %v, %v, %v; want inst, miss, nil", v, out, err)
 	}
-	v, out, err = c.GetOrBuildContext(context.Background(), key, build)
+	v, out, release, err = c.Acquire(context.Background(), key, build)
+	release()
 	if err != nil || out != OutcomeHit || v != "inst" {
 		t.Fatalf("second = %v, %v, %v; want inst, hit, nil", v, out, err)
 	}
@@ -70,8 +72,9 @@ func TestGetOrBuildContextOutcomes(t *testing.T) {
 func TestGetOrBuildContextTypedBuildError(t *testing.T) {
 	c := New(Config{})
 	cause := errors.New("no network")
-	_, out, err := c.GetOrBuildContext(context.Background(), NewKey("c", "a"),
+	_, out, release, err := c.Acquire(context.Background(), NewKey("c", "a"),
 		func() (any, int64, error) { return nil, 0, cause })
+	release()
 	if out != OutcomeError {
 		t.Fatalf("outcome = %v, want error", out)
 	}
@@ -92,21 +95,26 @@ func TestTTLExpiryReleasesThroughOnEvict(t *testing.T) {
 	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, Now: clock.now,
 		OnEvict: func(k Key, _ any, _ int64) { released = append(released, k) }})
 	key := NewKey("client", "args")
-	if _, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	_, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
-	}); err != nil || out != OutcomeMiss {
+	})
+	release()
+	if err != nil || out != OutcomeMiss {
 		t.Fatalf("build = %v, %v", out, err)
 	}
 	clock.advance(50 * time.Millisecond)
-	if _, out, _ := c.GetOrBuildContext(context.Background(), key, nil); out != OutcomeHit {
+	_, out, release, _ = c.Acquire(context.Background(), key, nil)
+	release()
+	if out != OutcomeHit {
 		t.Fatalf("pre-expiry outcome = %v, want hit", out)
 	}
 	clock.advance(60 * time.Millisecond) // now 110ms > TTL
 	builds := 0
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		builds++
 		return "v2", 5, nil
 	})
+	release()
 	if err != nil || out != OutcomeMiss || v != "v2" || builds != 1 {
 		t.Fatalf("post-expiry = %v, %v, %v (builds %d); want v2, miss, nil, 1", v, out, err, builds)
 	}
@@ -125,17 +133,20 @@ func TestStaleWhileRevalidateBlockingFace(t *testing.T) {
 	c := New(Config{Shards: 1, TTL: 100 * time.Millisecond, RefreshWindow: 30 * time.Millisecond,
 		Now: clock.now, OnEvict: func(Key, any, int64) { released.Add(1) }})
 	key := NewKey("client", "args")
-	if _, _, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	_, _, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return "v1", 5, nil
-	}); err != nil {
+	})
+	release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	clock.advance(80 * time.Millisecond) // inside [70ms, 100ms) refresh window
 	refreshed := make(chan struct{})
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		defer close(refreshed)
 		return "v2", 7, nil
 	})
+	release()
 	if err != nil || out != OutcomeStale || v != "v1" {
 		t.Fatalf("stale get = %v, %v, %v; want v1, stale, nil", v, out, err)
 	}
@@ -144,7 +155,8 @@ func TestStaleWhileRevalidateBlockingFace(t *testing.T) {
 	// until the replacement lands.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		v, out, err = c.GetOrBuildContext(context.Background(), key, nil)
+		v, out, release, err = c.Acquire(context.Background(), key, nil)
+		release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +235,14 @@ func TestNegativeCacheDeniesWithBackoff(t *testing.T) {
 	builds := 0
 	failing := func() (any, int64, error) { builds++; return nil, 0, cause }
 
-	if _, out, err := c.GetOrBuildContext(context.Background(), key, failing); out != OutcomeError || !errors.Is(err, cause) {
+	_, out, release, err := c.Acquire(context.Background(), key, failing)
+	release()
+	if out != OutcomeError || !errors.Is(err, cause) {
 		t.Fatalf("first = %v, %v", out, err)
 	}
 	// Denied without building while the backoff holds.
-	_, out, err := c.GetOrBuildContext(context.Background(), key, failing)
+	_, out, release, err = c.Acquire(context.Background(), key, failing)
+	release()
 	if out != OutcomeNegative || !errors.Is(err, ErrBuildFailed) || !errors.Is(err, cause) {
 		t.Fatalf("second = %v, %v; want negative, ErrBuildFailed+cause", out, err)
 	}
@@ -236,20 +251,25 @@ func TestNegativeCacheDeniesWithBackoff(t *testing.T) {
 	}
 	// Backoff elapses: one probe runs and fails; backoff doubles.
 	clock.advance(110 * time.Millisecond)
-	if _, out, _ := c.GetOrBuildContext(context.Background(), key, failing); out != OutcomeError {
+	_, out, release, _ = c.Acquire(context.Background(), key, failing)
+	release()
+	if out != OutcomeError {
 		t.Fatalf("probe outcome = %v, want error", out)
 	}
 	if builds != 2 {
 		t.Fatalf("builds = %d, want 2", builds)
 	}
 	clock.advance(150 * time.Millisecond) // 150 < doubled backoff 200
-	if _, out, _ := c.GetOrBuildContext(context.Background(), key, failing); out != OutcomeNegative {
+	_, out, release, _ = c.Acquire(context.Background(), key, failing)
+	release()
+	if out != OutcomeNegative {
 		t.Fatal("doubled backoff should still deny")
 	}
 	clock.advance(100 * time.Millisecond) // 250 >= 200
-	v, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	v, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return "recovered", 1, nil
 	})
+	release()
 	if err != nil || out != OutcomeMiss || v != "recovered" {
 		t.Fatalf("recovery = %v, %v, %v", v, out, err)
 	}
@@ -266,12 +286,15 @@ func TestNegativeBackoffCap(t *testing.T) {
 	key := NewKey("client", "args")
 	fail := func() (any, int64, error) { return nil, 0, errors.New("down") }
 	for i := 0; i < 5; i++ {
-		c.GetOrBuildContext(context.Background(), key, fail)
+		_, _, release, _ := c.Acquire(context.Background(), key, fail)
+		release()
 		clock.advance(260 * time.Millisecond) // past even the capped backoff
 	}
 	// After many failures the backoff is capped at 250ms, so 260ms later a
 	// probe is always allowed.
-	if _, out, _ := c.GetOrBuildContext(context.Background(), key, fail); out != OutcomeError {
+	_, out, release, _ := c.Acquire(context.Background(), key, fail)
+	release()
+	if out != OutcomeError {
 		t.Fatalf("outcome = %v, want error (probe allowed past cap)", out)
 	}
 }
@@ -358,9 +381,10 @@ func TestClosedCacheTypedError(t *testing.T) {
 	c.Begin(key)
 	c.Complete(key, "v", 1)
 	c.Close()
-	_, out, err := c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+	_, out, release, err := c.Acquire(context.Background(), key, func() (any, int64, error) {
 		return "fresh", 1, nil
 	})
+	release()
 	if out != OutcomeError || !errors.Is(err, ErrCacheClosed) {
 		t.Fatalf("closed get = %v, %v; want error, ErrCacheClosed", out, err)
 	}
@@ -403,16 +427,18 @@ func TestGetOrBuildContextCancellationWhileCoalesced(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.GetOrBuildContext(context.Background(), key, func() (any, int64, error) {
+		_, _, done, _ := c.Acquire(context.Background(), key, func() (any, int64, error) {
 			close(started)
 			<-release
 			return "v", 1, nil
 		})
+		done()
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, out, err := c.GetOrBuildContext(ctx, key, nil)
+	_, out, done, err := c.Acquire(ctx, key, nil)
+	done()
 	if out != OutcomeError || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled wait = %v, %v; want error, context.Canceled", out, err)
 	}
@@ -507,7 +533,8 @@ func TestConcurrentMixedStress(t *testing.T) {
 					c.Invalidate(key)
 					continue
 				}
-				v, out, err := c.GetOrBuildContext(context.Background(), key, build)
+				v, out, release, err := c.Acquire(context.Background(), key, build)
+				release()
 				switch out {
 				case OutcomeHit, OutcomeMiss, OutcomeCoalesced, OutcomeStale:
 					if err != nil || v == nil {

@@ -6,9 +6,9 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 	"time"
 
+	"faasbatch/internal/metrics"
 	"faasbatch/internal/slo"
 )
 
@@ -121,29 +121,6 @@ type invariantInputs struct {
 	slo map[string]slo.Status
 }
 
-// loadCV is the coefficient of variation (stddev/mean) of the
-// per-worker routed counts: 0 for a perfectly even spread, higher the
-// more load concentrates on few workers.
-func loadCV(routed []int) float64 {
-	if len(routed) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range routed {
-		sum += float64(r)
-	}
-	mean := sum / float64(len(routed))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, r := range routed {
-		d := float64(r) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(routed))) / mean
-}
-
 // evalInvariants evaluates the always-on assertions plus the scenario's
 // declared extras, deduplicated, in deterministic order.
 func evalInvariants(declared []Invariant, in invariantInputs) []InvariantResult {
@@ -209,7 +186,7 @@ func evalInvariant(inv Invariant, in invariantInputs) InvariantResult {
 			r.Detail = "no per-worker routing counts (live mode)"
 			break
 		}
-		cv := loadCV(in.routedPerNode)
+		cv := metrics.LoadCV(in.routedPerNode)
 		r.OK = cv <= inv.Value
 		r.Detail = fmt.Sprintf("load spread CV %.4f over %d workers, bound %g", cv, len(in.routedPerNode), inv.Value)
 	case "slo":

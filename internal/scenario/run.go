@@ -28,6 +28,7 @@ import (
 	"faasbatch/internal/core"
 	"faasbatch/internal/fnruntime"
 	"faasbatch/internal/hashmix"
+	"faasbatch/internal/metrics"
 	"faasbatch/internal/node"
 	"faasbatch/internal/pullsched"
 	"faasbatch/internal/sim"
@@ -612,7 +613,7 @@ func (s *simRun) routingReport() *RoutingReport {
 	rep := &RoutingReport{
 		Policy:      s.sc.Routing.Policy,
 		QueueDepth:  s.sc.Routing.QueueDepth,
-		LoadCVMilli: int64(math.Round(loadCV(s.cl.RoutedPerNode()) * 1000)),
+		LoadCVMilli: int64(math.Round(metrics.LoadCV(s.cl.RoutedPerNode()) * 1000)),
 	}
 	if s.cl.PullEnabled() {
 		st := s.cl.PullStats()
